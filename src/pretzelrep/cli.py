@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from csv import writer as csv_writer
+from functools import cache
 from itertools import combinations_with_replacement
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
 from .errors import (
@@ -49,7 +52,7 @@ from .tanglecalc import (
 
 __all__ = ["run", "main", "build_parser"]
 
-_RANGE = re.compile(r"^(-?\d+):(-?\d+)$")
+_RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
 
 class _UsageError(PretzelRepError):
@@ -66,7 +69,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every run."""
     parser = _Parser(prog="pretzelrep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,7 +133,15 @@ def run(argv: list[str] | None = None,
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe early (e.g. `| head`); point stdout at
+        # devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 # --- classify ---
@@ -143,33 +156,48 @@ def _cmd_classify(args, out) -> None:
     expression = parse_expr(args.expr)
     report = representativity_bounds(expression)
     if args.json:
-        _emit_json(_report_json(args.expr, expression, report), out)
+        out.write(_report_json(args.expr, expression, report, "") + "\n")
     else:
         for line in _report_text(expression, report):
             print(line, file=out)
 
 
-def _classify_range(spec: str, as_json: bool, out) -> None:
-    m = _RANGE.match(spec)
+def _range_bounds(spec: str) -> tuple[int, int]:
+    m = _RANGE.fullmatch(spec)
     if m is None:
         raise _UsageError(f"--range expects A:B with integers, got {spec!r}")
-    low, high = int(m.group(1)), int(m.group(2))
+    try:
+        low, high = int(m.group(1)), int(m.group(2))
+    except ValueError:  # beyond the interpreter's int-string digit limit
+        raise _UsageError("--range bound has too many digits") from None
     if low > high:
         raise _UsageError(f"--range bounds are out of order: {spec}")
+    return low, high
+
+
+def _classify_range(spec: str, as_json: bool, out) -> None:
+    """Write each knot triple's report as soon as it is classified.
+
+    Memory stays flat however large the box: nothing is kept between
+    triples, and the JSON array's brackets and commas are written here.
+    """
+    low, high = _range_bounds(spec)
     values = [v for v in range(low, high + 1) if v != 0]
-    reports = []
+    if as_json:
+        def render(expression: Pretzel, report: RepReport) -> str:
+            return _report_json(print_expr(expression), expression, report, "  ")
+        lead, separator, close, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
+    else:
+        render = _range_line
+        lead, separator, close, empty = "", "\n", "\n", ""
+    written = False
     for entries in combinations_with_replacement(values, 3):
         if not _is_knot_fast(entries):
             continue
-        triple = PretzelTriple(*entries)
-        expression = Pretzel(triple)
-        report = representativity_bounds(expression)
-        reports.append((expression, report))
-    if as_json:
-        _emit_json([_report_json(print_expr(e), e, r) for e, r in reports], out)
-    else:
-        for expression, report in reports:
-            print(_range_line(expression, report), file=out)
+        expression = Pretzel(PretzelTriple(*entries))
+        out.write(lead + render(expression, representativity_bounds(expression)))
+        lead, written = separator, True
+    out.write(close if written else empty)
 
 
 def _range_line(expression: Pretzel, report: RepReport) -> str:
@@ -255,42 +283,139 @@ def _surface_rows(triple: PretzelTriple) -> list[AssignmentScan] | None:
         return None
 
 
-def _report_json(input_text: str, expression: TangleExpr, report: RepReport) -> dict:
+# --- JSON templates ---
+#
+# Each template is the text json.dumps(obj, indent=2) writes for one
+# object at nesting depth 0, with %-fields for its values; _at() shifts
+# it to the depth where the object sits.  Nested values arrive already
+# rendered at their own depth.  Key order follows docs/schemas/.
+
+_REPORT = """{
+  "input": %s,
+  "kind": "%s",
+  "normalized": %s,
+  "mirror": %s,
+  "is_knot": %s,
+  "large_algebraic": %s,
+  "bridge_upper": %s,
+  "torus": %s,
+  "lower": %d,
+  "upper": %d,
+  "exact": %s,
+  "rules": %s,
+  "surfaces": %s
+}"""
+
+_TORUS = """{
+  "params": %s
+}"""
+
+_RULE = """{
+  "name": %s,
+  "citation": %s,
+  "sets": %s,
+  "value": %s,
+  "conditional": %s
+}"""
+
+_SURFACES = """{
+  "input": %s,
+  "normalized": %s,
+  "mirror": %s,
+  "rows": %s
+}"""
+
+_ROW = """{
+  "types": "%s",
+  "slopes": [
+    %d,
+    %d,
+    %d
+  ],
+  "arcs": %s,
+  "sheets": %s,
+  "chi": %s,
+  "genus": %s,
+  "structural": %s,
+  "verdict": "%s",
+  "family": %s,
+  "reason": %s
+}"""
+
+# arcs, sheets, chi, genus and structural of a row that failed the
+# existence filters
+_UNMEASURED = ("null", "null", "null", "null", "false")
+
+
+@cache
+def _at(template: str, pad: str) -> str:
+    """The template with every line after the first indented by pad."""
+    return template.replace("\n", "\n" + pad)
+
+
+def _scalar(value) -> str:
+    """JSON text of None, a bool, an int or a str, as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return _quote(value)
+    return str(value)
+
+
+@cache
+def _constant(text: str | None) -> str:
+    """_scalar of one of the package's fixed reason or family texts."""
+    return _scalar(text)
+
+
+def _array(items: list[str], pad: str) -> str:
+    """JSON array of rendered items, its opening bracket at indent pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _ints(values, pad: str) -> str:
+    return "null" if values is None else _array([str(v) for v in values], pad)
+
+
+@cache
+def _rules_json(rules: tuple, pad: str) -> str:
+    """The rules block; a handful of distinct blocks cover every report."""
+    template = _at(_RULE, pad + "  ")
+    return _array([template % (_scalar(rule.name), _scalar(rule.citation),
+                               _scalar(rule.sets), _scalar(rule.value),
+                               _scalar(rule.conditional)) for rule in rules], pad)
+
+
+def _report_json(input_text: str, expression: TangleExpr, report: RepReport,
+                 pad: str) -> str:
+    """One classify report as JSON, its opening brace at indent pad."""
+    inner = pad + "  "
     triple = _classified_triple(expression)
-    obj: dict = {"input": input_text}
     if triple is not None:
         canonical, mirror = normalize_pretzel(triple)
-        obj["kind"] = "pretzel" if isinstance(expression, Pretzel) else "montesinos"
-        obj["normalized"] = list(canonical.entries())
-        obj["mirror"] = mirror
-        obj["is_knot"] = True
-        obj["large_algebraic"] = None
-    else:
-        obj["kind"] = "closure"
-        obj["normalized"] = None
-        obj["mirror"] = None
-        obj["is_knot"] = None
-        obj["large_algebraic"] = is_large_algebraic(expression)
-    obj["bridge_upper"] = report.bridge_upper
-    if report.torus is None:
-        obj["torus"] = None
-    else:
-        params = report.torus.params
-        obj["torus"] = {"params": list(params) if params is not None else None}
-    obj["lower"] = report.lower
-    obj["upper"] = report.upper
-    obj["exact"] = report.exact
-    obj["rules"] = [
-        {"name": r.name, "citation": r.citation, "sets": r.sets,
-         "value": r.value, "conditional": r.conditional}
-        for r in report.rules
-    ]
-    if triple is not None:
+        kind = "pretzel" if isinstance(expression, Pretzel) else "montesinos"
+        # normalized, mirror, is_knot, large_algebraic
+        knot = (_ints(canonical.entries(), inner), _scalar(mirror), "true", "null")
         rows = _surface_rows(triple)
-        obj["surfaces"] = None if rows is None else [_row_json(row) for row in rows]
+        surfaces = "null" if rows is None else _array(
+            [_row_json(row, inner + "  ") for row in rows], inner)
     else:
-        obj["surfaces"] = None
-    return obj
+        kind = "closure"
+        knot = ("null", "null", "null", _scalar(is_large_algebraic(expression)))
+        surfaces = "null"
+    torus = "null" if report.torus is None else (
+        _at(_TORUS, inner) % _ints(report.torus.params, inner + "  "))
+    return _at(_REPORT, pad) % (
+        _quote(input_text), kind, *knot, _scalar(report.bridge_upper), torus,
+        report.lower, report.upper, _scalar(report.exact),
+        _rules_json(report.rules, inner), surfaces)
 
 
 # --- surfaces ---
@@ -301,13 +426,9 @@ def _cmd_surfaces(args, out) -> None:
     canonical, mirror = normalize_pretzel(triple)
     rows = scan_assignments(triple)
     if args.json:
-        obj = {
-            "input": args.expr,
-            "normalized": list(canonical.entries()),
-            "mirror": mirror,
-            "rows": [_row_json(row) for row in rows],
-        }
-        _emit_json(obj, out)
+        out.write(_SURFACES % (
+            _quote(args.expr), _ints(canonical.entries(), "  "), _scalar(mirror),
+            _array([_row_json(row, "    ") for row in rows], "  ")) + "\n")
     elif args.csv:
         table = csv_writer(out, lineterminator="\n")
         table.writerow(["types", "slope_1", "slope_2", "slope_3", "arcs",
@@ -357,19 +478,17 @@ def _row_csv(row: AssignmentScan) -> list:
             opt(row.family), opt(row.reason)]
 
 
-def _row_json(row: AssignmentScan) -> dict:
-    return {
-        "types": "".join(row.tangle_types),
-        "slopes": list(row.boundary_slopes),
-        "arcs": row.arcs,
-        "sheets": list(row.sheets) if row.sheets is not None else None,
-        "chi": row.chi,
-        "genus": row.genus_val,
-        "structural": row.structural,
-        "verdict": "accepted" if row.accepted else "rejected",
-        "family": row.family,
-        "reason": row.reason,
-    }
+def _row_json(row: AssignmentScan, pad: str) -> str:
+    """One scan row as JSON, its opening brace at indent pad."""
+    if row.structural:
+        measures = (_scalar(row.arcs), _ints(row.sheets, pad + "  "),
+                    _scalar(row.chi), _scalar(row.genus_val), "true")
+    else:
+        measures = _UNMEASURED
+    return _at(_ROW, pad) % (
+        "".join(row.tangle_types), *row.boundary_slopes, *measures,
+        "accepted" if row.accepted else "rejected",
+        _constant(row.family), _constant(row.reason))
 
 
 # --- lemma ---

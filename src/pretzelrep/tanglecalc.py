@@ -94,7 +94,7 @@ class Closure:
 
 TangleExpr = Union[RationalTangle, Sum, Pretzel, Montesinos, Closure]
 
-_INTEGER = re.compile(r"[+-]?\d+")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class _Parser:
@@ -128,8 +128,13 @@ class _Parser:
         if m is None:
             found = self.peek() or "end of input"
             raise ParseError(f"expected an integer, found {found!r}", self.pos)
+        try:
+            value = int(m.group())
+        except ValueError:  # beyond the interpreter's int-string digit limit
+            raise ParseError(f"integer literal of {len(m.group())} characters is too long",
+                             self.pos) from None
         self.pos = m.end()
-        return int(m.group())
+        return value
 
     # --- grammar rules ---
 

@@ -9,12 +9,15 @@ and review the diff before committing.
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import pretzelrep
 from pretzelrep import run
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -133,6 +136,36 @@ def test_leading_minus_arguments_are_values():
     assert code == 0 and out == "-1/2\n"
     code, out, _ = run_cli(["parse", "-1/2+1/3"])
     assert code == 0 and out == "-1/2+1/3\n"
+
+
+def test_non_ascii_digits_exit_1():
+    code, out, err = run_cli(["classify", "P(-2,\u0663,5)"])
+    assert code == 1 and out == "" and "position 5" in err
+    code, out, err = run_cli(["classify", "--range", "-\u0663:3"])
+    assert code == 1 and out == "" and "--range expects A:B" in err
+    assert run_cli(["classify", "--range", "1:2\n"])[0] == 1
+
+
+def test_oversized_literals_exit_1():
+    code, out, err = run_cli(["parse", "1" * 5000])
+    assert code == 1 and out == "" and "too long (at position 0)" in err
+    code, out, err = run_cli(["classify", "--range", "1" + "0" * 5000 + ":2"])
+    assert code == 1 and out == "" and "too many digits" in err
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    src = Path(pretzelrep.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    # several MB of output, far more than a pipe buffers
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pretzelrep", "classify", "--range", "-12:12", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.read(100).startswith(b"[\n  {")
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert err == b"" and child.returncode == 1
 
 
 def _freeze():

@@ -101,6 +101,19 @@ def test_parse_error_carries_position():
     assert info.value.position == 6
 
 
+def test_parse_rejects_non_ascii_digits():
+    with pytest.raises(ParseError) as info:
+        parse_expr("P(-2,\u0663,5)")  # ARABIC-INDIC DIGIT THREE
+    assert info.value.position == 5
+
+
+def test_parse_rejects_oversized_literal():
+    with pytest.raises(ParseError) as info:
+        parse_expr("1/" + "9" * 5000)
+    assert info.value.position == 2
+    assert "too long" in str(info.value)
+
+
 def test_print_examples():
     assert print_expr(parse_expr("P( -2, 3, 5 )")) == "P(-2,3,5)"
     assert print_expr(parse_expr("M( 1/2 , -1/3 )")) == "M(1/2,-1/3)"
