@@ -24,6 +24,7 @@ from .errors import (
 )
 from .exactmath import cf_to_fraction, fraction_to_cf, reduce, sum_reciprocals
 from .tanglecalc import (
+    MAX_NESTING,
     Closure,
     Montesinos,
     Pretzel,
@@ -37,7 +38,15 @@ from .tanglecalc import (
     pretzel_to_montesinos,
     print_expr,
 )
-from .linktrace import PDCode, component_count, is_knot, pretzel_diagram
+from .linktrace import (
+    PDCode,
+    PretzelKnot,
+    component_count,
+    is_knot,
+    knot_components,
+    pretzel_diagram,
+    pretzel_knot,
+)
 from .slopelemma import (
     LemmaSolution,
     SlopeCondition,
@@ -59,6 +68,7 @@ from .surfacescan import (
     final_filter,
     genus,
     scan_assignments,
+    scannable_knot,
 )
 from .repclassify import (
     AppliedRule,

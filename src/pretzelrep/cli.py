@@ -14,9 +14,9 @@ import json
 import os
 import re
 import sys
+from bisect import bisect_left
 from csv import writer as csv_writer
 from functools import cache
-from itertools import combinations_with_replacement
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
@@ -28,13 +28,13 @@ from .errors import (
     PretzelRepError,
     UnsupportedInputError,
 )
-from .linktrace import _is_knot_fast, component_count, pretzel_diagram
+from .linktrace import PretzelKnot, component_count, pretzel_diagram, pretzel_knot
 from .repclassify import (
     RepReport,
     _montesinos_triple,
     representativity_bounds,
 )
-from .surfacescan import AssignmentScan, scan_assignments
+from .surfacescan import AssignmentScan, scan_assignments, scannable_knot
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
     Closure,
@@ -45,7 +45,6 @@ from .tanglecalc import (
     Sum,
     TangleExpr,
     is_large_algebraic,
-    normalize_pretzel,
     parse_expr,
     print_expr,
 )
@@ -154,11 +153,12 @@ def _cmd_classify(args, out) -> None:
         _classify_range(args.range_spec, args.json, out)
         return
     expression = parse_expr(args.expr)
-    report = representativity_bounds(expression)
+    knot = _classified_knot(expression)
+    report = representativity_bounds(expression if knot is None else knot)
     if args.json:
-        out.write(_report_json(args.expr, expression, report, "") + "\n")
+        out.write(_report_json(args.expr, expression, knot, report, "") + "\n")
     else:
-        for line in _report_text(expression, report):
+        for line in _report_text(expression, knot, report):
             print(line, file=out)
 
 
@@ -182,30 +182,42 @@ def _classify_range(spec: str, as_json: bool, out) -> None:
     triples, and the JSON array's brackets and commas are written here.
     """
     low, high = _range_bounds(spec)
-    values = [v for v in range(low, high + 1) if v != 0]
     if as_json:
-        def render(expression: Pretzel, report: RepReport) -> str:
-            return _report_json(print_expr(expression), expression, report, "  ")
+        def render(text: str, knot: PretzelKnot, report: RepReport) -> str:
+            return _report_json(text, None, knot, report, "  ")
         lead, separator, close, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
     else:
         render = _range_line
         lead, separator, close, empty = "", "\n", "\n", ""
     written = False
-    for entries in combinations_with_replacement(values, 3):
-        if not _is_knot_fast(entries):
-            continue
-        expression = Pretzel(PretzelTriple(*entries))
-        out.write(lead + render(expression, representativity_bounds(expression)))
+    for entries in _knot_triples(low, high):
+        knot = pretzel_knot(PretzelTriple(*entries))
+        text = "P(%d,%d,%d)" % entries
+        out.write(lead + render(text, knot, representativity_bounds(knot)))
         lead, written = separator, True
     out.write(close if written else empty)
 
 
-def _range_line(expression: Pretzel, report: RepReport) -> str:
+def _knot_triples(low: int, high: int):
+    """The nondecreasing triples of nonzero entries in low..high with at
+    most one even entry, in combinations_with_replacement order."""
+    values = [v for v in range(low, high + 1) if v != 0]
+    odds = [v for v in values if v % 2]
+    for i, a in enumerate(values):
+        for j in range(i, len(values)):
+            b = values[j]
+            if a % 2 or b % 2:  # with one even entry so far, c must be odd
+                tail = values[j:] if a % 2 and b % 2 else odds[bisect_left(odds, b):]
+                for c in tail:
+                    yield a, b, c
+
+
+def _range_line(text: str, knot: PretzelKnot, report: RepReport) -> str:
     if report.exact is not None:
         bounds = f"r={report.exact} exact"
     else:
         bounds = f"r in [{report.lower},{report.upper}]"
-    line = f"{print_expr(expression)}  {bounds}"
+    line = f"{text}  {bounds}"
     if report.torus is not None:
         if report.torus.params is not None:
             p, q = report.torus.params
@@ -215,23 +227,23 @@ def _range_line(expression: Pretzel, report: RepReport) -> str:
     return line
 
 
-def _classified_triple(expression: TangleExpr) -> PretzelTriple | None:
+def _classified_knot(expression: TangleExpr) -> PretzelKnot | None:
+    """The validated knot of a pretzel or Montesinos form, else None."""
     if isinstance(expression, Pretzel):
-        return expression.triple
+        return pretzel_knot(expression.triple)
     if isinstance(expression, Montesinos):
-        return _montesinos_triple(expression)
+        return pretzel_knot(_montesinos_triple(expression))
     return None
 
 
-def _report_text(expression: TangleExpr, report: RepReport) -> list[str]:
-    triple = _classified_triple(expression)
+def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
+                 report: RepReport) -> list[str]:
     lines = [f"input: {print_expr(expression)}"]
-    if triple is not None:
-        canonical, mirror = normalize_pretzel(triple)
+    if knot is not None:
         kind = "pretzel" if isinstance(expression, Pretzel) else "montesinos"
         lines.append(f"kind: {kind}")
-        lines.append(f"normalized: P({canonical.p},{canonical.q},{canonical.r})")
-        lines.append(f"mirror: {'yes' if mirror else 'no'}")
+        lines.append("normalized: P(%d,%d,%d)" % knot.canonical)
+        lines.append(f"mirror: {'yes' if knot.mirror else 'no'}")
         lines.append("knot: yes")
         lines.append(f"bridge bound: {report.bridge_upper}")
         if report.torus is not None:
@@ -250,8 +262,8 @@ def _report_text(expression: TangleExpr, report: RepReport) -> list[str]:
     lines.append("rules:")
     for rule in report.rules:
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
-    if triple is not None:
-        rows = _surface_rows(triple)
+    if knot is not None:
+        rows = _surface_rows(knot)
         if rows is None:
             lines.append("surfaces: not computed (degenerate twist parameters)")
         else:
@@ -276,9 +288,9 @@ def _effect_text(rule) -> str:
     return effect
 
 
-def _surface_rows(triple: PretzelTriple) -> list[AssignmentScan] | None:
+def _surface_rows(knot: PretzelKnot) -> list[AssignmentScan] | None:
     try:
-        return scan_assignments(triple)
+        return scan_assignments(knot)
     except DegenerateTangleError:
         return None
 
@@ -393,27 +405,26 @@ def _rules_json(rules: tuple, pad: str) -> str:
                                _scalar(rule.conditional)) for rule in rules], pad)
 
 
-def _report_json(input_text: str, expression: TangleExpr, report: RepReport,
-                 pad: str) -> str:
-    """One classify report as JSON, its opening brace at indent pad."""
+def _report_json(input_text: str, expression: TangleExpr | None,
+                 knot: PretzelKnot | None, report: RepReport, pad: str) -> str:
+    """One classify report as JSON, its opening brace at indent pad; a
+    range report passes no expression."""
     inner = pad + "  "
-    triple = _classified_triple(expression)
-    if triple is not None:
-        canonical, mirror = normalize_pretzel(triple)
-        kind = "pretzel" if isinstance(expression, Pretzel) else "montesinos"
+    if knot is not None:
+        kind = "montesinos" if isinstance(expression, Montesinos) else "pretzel"
         # normalized, mirror, is_knot, large_algebraic
-        knot = (_ints(canonical.entries(), inner), _scalar(mirror), "true", "null")
-        rows = _surface_rows(triple)
+        fields = (_ints(knot.canonical, inner), _scalar(knot.mirror), "true", "null")
+        rows = _surface_rows(knot)
         surfaces = "null" if rows is None else _array(
             [_row_json(row, inner + "  ") for row in rows], inner)
     else:
         kind = "closure"
-        knot = ("null", "null", "null", _scalar(is_large_algebraic(expression)))
+        fields = ("null", "null", "null", _scalar(is_large_algebraic(expression)))
         surfaces = "null"
     torus = "null" if report.torus is None else (
         _at(_TORUS, inner) % _ints(report.torus.params, inner + "  "))
     return _at(_REPORT, pad) % (
-        _quote(input_text), kind, *knot, _scalar(report.bridge_upper), torus,
+        _quote(input_text), kind, *fields, _scalar(report.bridge_upper), torus,
         report.lower, report.upper, _scalar(report.exact),
         _rules_json(report.rules, inner), surfaces)
 
@@ -422,12 +433,11 @@ def _report_json(input_text: str, expression: TangleExpr, report: RepReport,
 
 
 def _cmd_surfaces(args, out) -> None:
-    triple = _parse_pretzel_argument(args.expr, "surfaces")
-    canonical, mirror = normalize_pretzel(triple)
-    rows = scan_assignments(triple)
+    knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
+    rows = scan_assignments(knot)
     if args.json:
         out.write(_SURFACES % (
-            _quote(args.expr), _ints(canonical.entries(), "  "), _scalar(mirror),
+            _quote(args.expr), _ints(knot.canonical, "  "), _scalar(knot.mirror),
             _array([_row_json(row, "    ") for row in rows], "  ")) + "\n")
     elif args.csv:
         table = csv_writer(out, lineterminator="\n")
@@ -438,7 +448,7 @@ def _cmd_surfaces(args, out) -> None:
             table.writerow(_row_csv(row))
     else:
         print(f"input: {args.expr}", file=out)
-        print(f"normalized: P({canonical.p},{canonical.q},{canonical.r})", file=out)
+        print("normalized: P(%d,%d,%d)" % knot.canonical, file=out)
         for row in rows:
             print(_row_text(row), file=out)
 

@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DegenerateTangleError, InvalidPDCodeError
-from .tanglecalc import PretzelTriple
+from .errors import DegenerateTangleError, InvalidPDCodeError, NotAKnotError
+from .tanglecalc import PretzelTriple, normalize_pretzel
 
-__all__ = ["PDCode", "pretzel_diagram", "component_count", "is_knot"]
+__all__ = ["PDCode", "PretzelKnot", "pretzel_diagram", "component_count", "is_knot",
+           "knot_components", "pretzel_knot"]
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,36 @@ def is_knot(triple: PretzelTriple) -> bool:
     return component_count(pretzel_diagram(triple.entries())) == 1
 
 
-def _is_knot_fast(entries: Sequence[int]) -> bool:
-    """Parity shortcut for the hot paths: a 3-pretzel is a knot exactly
-    when all entries are odd or exactly one is even.  The test suite
-    cross-checks this against full tracing over a large window."""
-    evens = sum(1 for e in entries if e % 2 == 0)
-    return evens <= 1
+def knot_components(entries: Sequence[int]) -> int:
+    """Components of the 3-strand pretzel link with these nonzero twists,
+    in closed form: one per even entry, or a single one when no entry is
+    even.  The test suite checks this against full tracing."""
+    return max(1, sum(1 for e in entries if e % 2 == 0))
+
+
+@dataclass(frozen=True)
+class PretzelKnot:
+    """A pretzel triple checked to be a knot, with its canonical form.
+
+    entries is the triple as given; canonical and mirror are what
+    normalize_pretzel returns for it, the canonical triple as a tuple.
+    """
+
+    entries: tuple[int, int, int]
+    canonical: tuple[int, int, int]
+    mirror: bool
+
+
+def pretzel_knot(triple: PretzelTriple | PretzelKnot) -> PretzelKnot:
+    """Validate a triple once: a zero twist, then a link, is a domain
+    error; otherwise canonicalize it.  A PretzelKnot passes through."""
+    if isinstance(triple, PretzelKnot):
+        return triple
+    entries = triple.entries()
+    if 0 in entries:
+        raise DegenerateTangleError(f"zero twist parameter in {entries}")
+    components = knot_components(entries)
+    if components != 1:
+        raise NotAKnotError(f"not a knot ({components} components)")
+    canonical, mirror = normalize_pretzel(triple)
+    return PretzelKnot(entries, canonical.entries(), mirror)

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from .errors import (
     DegenerateTangleError,
     InvalidParameterError,
-    NotAKnotError,
     UnsupportedInputError,
 )
-from .linktrace import _is_knot_fast, component_count, pretzel_diagram
+from .linktrace import PretzelKnot, pretzel_knot
 from .tanglecalc import (
     Closure,
     Montesinos,
@@ -39,8 +38,6 @@ __all__ = [
     "tangle_string_bound",
     "representativity_bounds",
 ]
-
-_EXACTLY_THREE = {(-2, 3, 3), (-2, 3, 5)}
 
 _CITE_BRIDGE = (
     "the representativity of a knot is at most its bridge number, and a "
@@ -106,40 +103,54 @@ class RepReport:
     bridge_upper: int | None
 
 
-def _require_pretzel_knot(triple: PretzelTriple) -> tuple[int, int, int]:
-    entries = triple.entries()
-    if any(e == 0 for e in entries):
-        raise DegenerateTangleError(f"zero twist parameter in {entries}")
-    if not _is_knot_fast(entries):
-        count = component_count(pretzel_diagram(entries))
-        raise NotAKnotError(f"not a knot ({count} components)")
-    return entries
+# The canonical triples of representativity exactly 3, fixed by the
+# classification theorem and kept apart from the surface scan.
+_EXACTLY_THREE = {(-2, 3, 3), (-2, 3, 5)}
+
+_BRIDGE_RULE = AppliedRule("bridge-number-bound", _CITE_BRIDGE, "upper", 3)
+_SMALL_TWIST_RULES = (
+    _BRIDGE_RULE,
+    AppliedRule("small-twist-reduction", _CITE_SMALL_TWIST, "upper", 2),
+)
+_EXACTLY_THREE_RULES = (
+    _BRIDGE_RULE,
+    AppliedRule("representativity-equals-three", _CITE_CLASSIFICATION, "exact", 3),
+)
+_AT_MOST_TWO_RULES = (
+    _BRIDGE_RULE,
+    AppliedRule("representativity-at-most-two", _CITE_CLASSIFICATION, "upper", 2),
+)
+_TORUS_RULE = AppliedRule("torus-knot-identification", _CITE_TORUS)
+
+# torus data keyed by (canonical triple, mirror)
+_TORUS = {
+    ((-2, 3, 3), False): TorusInfo((3, 4)),
+    ((-2, 3, 3), True): TorusInfo((3, -4)),
+    ((-2, 3, 5), False): TorusInfo((3, 5)),
+    ((-2, 3, 5), True): TorusInfo((3, -5)),
+    ((1, 1, 1), False): TorusInfo(None),
+    ((1, 1, 1), True): TorusInfo(None),
+}
+
+
+def _has_unit_twist(entries: tuple[int, int, int]) -> bool:
+    return 1 in entries or -1 in entries
 
 
 def bridge_upper(triple: PretzelTriple) -> int:
     """Bridge number bound from the pretzel diagram: 3 in general, 2
     once a twist parameter of absolute value 1 makes the knot a
     connected sum of torus knots, a torus knot, or a 2-bridge knot."""
-    entries = _require_pretzel_knot(triple)
-    if min(abs(e) for e in entries) == 1:
-        return 2
-    return 3
+    return 2 if _has_unit_twist(pretzel_knot(triple).entries) else 3
 
 
 def torus_pretzel(triple: PretzelTriple) -> TorusInfo | None:
     """Torus knot data for the few pretzel triples that are torus knots."""
     entries = triple.entries()
-    if any(e == 0 for e in entries):
+    if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
     canonical, mirror = normalize_pretzel(triple)
-    sign = -1 if mirror else 1
-    if canonical.entries() == (-2, 3, 3):
-        return TorusInfo((3, 4 * sign))
-    if canonical.entries() == (-2, 3, 5):
-        return TorusInfo((3, 5 * sign))
-    if canonical.entries() == (1, 1, 1):
-        return TorusInfo(None)
-    return None
+    return _TORUS.get((canonical.entries(), mirror))
 
 
 def tangle_string_bound(string_number: int) -> int:
@@ -151,18 +162,21 @@ def tangle_string_bound(string_number: int) -> int:
     return 2 * string_number
 
 
-def representativity_bounds(expression: TangleExpr) -> RepReport:
+def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
     """Classification report for a pretzel form or a closed tangle sum.
 
-    Montesinos forms M(1/p,1/q,1/r) are read as the pretzel (p,q,r).
+    Montesinos forms M(1/p,1/q,1/r) are read as the pretzel (p,q,r).  A
+    PretzelKnot, already validated, is classified as it stands.
     Closures C(T1+T2) get the tangle string bound, sharpened to 3 when
     the two halves are syntactically large algebraic; both closure
     bounds are conditional on the visible sphere being essential.
     """
+    if isinstance(expression, PretzelKnot):
+        return _classify_pretzel(expression)
     if isinstance(expression, Pretzel):
-        return _classify_pretzel(expression.triple)
+        return _classify_pretzel(pretzel_knot(expression.triple))
     if isinstance(expression, Montesinos):
-        return _classify_pretzel(_montesinos_triple(expression))
+        return _classify_pretzel(pretzel_knot(_montesinos_triple(expression)))
     if isinstance(expression, Closure):
         return _classify_closure(expression)
     raise UnsupportedInputError(
@@ -181,28 +195,18 @@ def _montesinos_triple(expression: Montesinos) -> PretzelTriple:
     return PretzelTriple(*(f.denominator * f.numerator for f in slopes))
 
 
-def _classify_pretzel(triple: PretzelTriple) -> RepReport:
-    entries = _require_pretzel_knot(triple)
-    canonical, _ = normalize_pretzel(triple)
-    rules = [AppliedRule("bridge-number-bound", _CITE_BRIDGE, "upper", 3)]
-    lower, upper, exact = 1, 3, None
-
-    if min(abs(e) for e in entries) == 1:
-        rules.append(AppliedRule("small-twist-reduction", _CITE_SMALL_TWIST, "upper", 2))
-        upper = 2
-    elif canonical.entries() in _EXACTLY_THREE:
-        rules.append(AppliedRule("representativity-equals-three",
-                                 _CITE_CLASSIFICATION, "exact", 3))
-        lower = exact = 3
+def _classify_pretzel(knot: PretzelKnot) -> RepReport:
+    lower, upper, exact, bridge = 1, 2, None, 3
+    if _has_unit_twist(knot.entries):
+        rules, bridge = _SMALL_TWIST_RULES, 2
+    elif knot.canonical in _EXACTLY_THREE:
+        rules, lower, upper, exact = _EXACTLY_THREE_RULES, 3, 3, 3
     else:
-        rules.append(AppliedRule("representativity-at-most-two",
-                                 _CITE_CLASSIFICATION, "upper", 2))
-        upper = 2
-
-    torus = torus_pretzel(triple)
+        rules = _AT_MOST_TWO_RULES
+    torus = _TORUS.get((knot.canonical, knot.mirror))
     if torus is not None:
-        rules.append(AppliedRule("torus-knot-identification", _CITE_TORUS))
-    return RepReport(lower, upper, exact, tuple(rules), torus, bridge_upper(triple))
+        rules += (_TORUS_RULE,)
+    return RepReport(lower, upper, exact, rules, torus, bridge)
 
 
 def _classify_closure(expression: Closure) -> RepReport:

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 from math import gcd, lcm
 
-from .errors import DegenerateTangleError, InvariantError, NotAKnotError
-from .linktrace import _is_knot_fast, component_count, pretzel_diagram
+from .errors import DegenerateTangleError, InvariantError
+from .linktrace import PretzelKnot, pretzel_knot
 from .tanglecalc import PretzelTriple, normalize_pretzel
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "AssignmentScan",
     "enumerate_patterns",
     "scan_assignments",
+    "scannable_knot",
     "euler_characteristic",
     "genus",
     "final_filter",
@@ -88,20 +89,15 @@ class AssignmentScan:
     reason: str | None
 
 
-def _require_scannable(triple: PretzelTriple) -> PretzelTriple:
-    """Canonical form of a triple the scan applies to, or a domain error."""
-    entries = triple.entries()
-    if any(e == 0 for e in entries):
-        raise DegenerateTangleError(f"zero twist parameter in {entries}")
-    if any(abs(e) == 1 for e in entries):
+def scannable_knot(triple: PretzelTriple | PretzelKnot) -> PretzelKnot:
+    """The validated knot of a triple the scan applies to, or a domain
+    error: a zero twist, then a twist of absolute value 1, then a link."""
+    entries = triple.entries if isinstance(triple, PretzelKnot) else triple.entries()
+    if 0 not in entries and (1 in entries or -1 in entries):
         raise DegenerateTangleError(
             f"twist parameters must have absolute value >= 2, got {entries}"
         )
-    if not _is_knot_fast(entries):
-        count = component_count(pretzel_diagram(entries))
-        raise NotAKnotError(f"not a knot ({count} components)")
-    canonical, _ = normalize_pretzel(triple)
-    return canonical
+    return pretzel_knot(triple)
 
 
 def _structural_reason(types, slopes) -> str | None:
@@ -123,14 +119,14 @@ def _structural_reason(types, slopes) -> str | None:
     return None
 
 
-def scan_assignments(triple: PretzelTriple) -> list[AssignmentScan]:
+def scan_assignments(triple: PretzelTriple | PretzelKnot) -> list[AssignmentScan]:
     """All eight type assignments for the canonical form of the triple.
 
     Rows appear in lexicographic type order AAA..BBB.  Slope and count
     data refer to the canonical (sorted, possibly mirrored) triple.
     """
-    canonical = _require_scannable(triple)
-    entries = canonical.entries()
+    knot = scannable_knot(triple)
+    entries = knot.canonical
     rows = []
     for types in product((TYPE_A, TYPE_B), repeat=3):
         slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, entries))
@@ -140,29 +136,29 @@ def scan_assignments(triple: PretzelTriple) -> list[AssignmentScan]:
                                        False, False, None, reason))
             continue
         pattern = _build_pattern(types, slopes)
-        verdict = final_filter(pattern, canonical)
+        verdict = final_filter(pattern, knot)
         rows.append(AssignmentScan(types, slopes, pattern.arcs, pattern.sheets,
                                    pattern.chi, pattern.genus_val, True,
                                    verdict.accepted, verdict.family, verdict.reason))
     return rows
 
 
-def enumerate_patterns(triple: PretzelTriple) -> list[SurfacePattern]:
+def enumerate_patterns(triple: PretzelTriple | PretzelKnot) -> list[SurfacePattern]:
     """Structurally consistent patterns for the canonical form of the triple.
 
     Each pattern carries the verdict of the compressing-disk filter; an
     accepted pattern exists exactly for the canonical triples (-2,3,3)
     and (-2,3,5).
     """
-    canonical = _require_scannable(triple)
-    entries = canonical.entries()
+    knot = scannable_knot(triple)
+    entries = knot.canonical
     patterns = []
     for types in product((TYPE_A, TYPE_B), repeat=3):
         slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, entries))
         if _structural_reason(types, slopes) is not None:
             continue
         pattern = _build_pattern(types, slopes)
-        patterns.append(replace(pattern, verdict=final_filter(pattern, canonical)))
+        patterns.append(replace(pattern, verdict=final_filter(pattern, knot)))
     return patterns
 
 
@@ -211,7 +207,7 @@ def genus(pattern: SurfacePattern) -> int:
     return _genus_from_chi(euler_characteristic(pattern))
 
 
-def final_filter(pattern: SurfacePattern, triple: PretzelTriple) -> Verdict:
+def final_filter(pattern: SurfacePattern, triple: PretzelTriple | PretzelKnot) -> Verdict:
     """Sort a pattern into its slope family and apply the disk filters.
 
     The absolute slopes (a, b, c) = (-p', q', r') solve the
@@ -219,14 +215,19 @@ def final_filter(pattern: SurfacePattern, triple: PretzelTriple) -> Verdict:
     family has l = 2k and d = m, the consecutive family has l = k + 1
     and d = m.  Twin patterns survive only for d = 2 and consecutive
     patterns only for k = 2, d = 1; in every other case two adjacent
-    sheets are joined by a compressing disk meeting the knot twice.
+    sheets are joined by a compressing disk meeting the knot twice.  A
+    PretzelKnot brings its canonical triple; a plain triple is
+    normalized here.
     """
-    canonical, _ = normalize_pretzel(triple)
+    if isinstance(triple, PretzelKnot):
+        canonical = triple.canonical
+    else:
+        canonical = normalize_pretzel(triple)[0].entries()
     rebuilt = tuple(s if ty == TYPE_A else s - 1
                     for ty, s in zip(pattern.tangle_types, pattern.boundary_slopes))
-    if rebuilt != canonical.entries():
+    if rebuilt != canonical:
         raise InvariantError(
-            f"pattern rebuilds {rebuilt}, not the canonical triple {canonical.entries()}"
+            f"pattern rebuilds {rebuilt}, not the canonical triple {canonical}"
         )
     negatives = [s for s in pattern.boundary_slopes if s < 0]
     positives = sorted(s for s in pattern.boundary_slopes if s > 0)

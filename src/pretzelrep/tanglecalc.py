@@ -14,6 +14,9 @@ A closure C(...) marks the numerator closure of a tangle sum and is only
 allowed at the top level.  Tangle sum is left associative; the printer
 emits the canonical spelling (no spaces, parentheses only where the tree
 shape requires them) and parse_expr(print_expr(e)) == e for every tree.
+
+The parser rejects input nesting deeper than MAX_NESTING parentheses
+plus Sum nodes on a path from the root.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "Montesinos",
     "Closure",
     "TangleExpr",
+    "MAX_NESTING",
     "parse_expr",
     "print_expr",
     "normalize_pretzel",
@@ -96,6 +100,12 @@ TangleExpr = Union[RationalTangle, Sum, Pretzel, Montesinos, Closure]
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
+# At this depth the deepest recursion (two parser frames per parenthesis,
+# one printer, tree-walk or JSON encoder frame per level) stays under
+# half the interpreter's default recursion limit.
+MAX_NESTING = 200
+_TOO_DEEP = f"expression nests deeper than {MAX_NESTING} levels of parentheses and sums"
+
 
 class _Parser:
     """Single-pass recursive descent over the expression text."""
@@ -103,6 +113,7 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.parens = 0  # open parentheses around the current position
 
     # --- token helpers ---
 
@@ -137,12 +148,15 @@ class _Parser:
         return value
 
     # --- grammar rules ---
+    #
+    # tangle() and term() return the subtree with its nesting: the most
+    # parentheses plus Sum nodes on a path down from its root.
 
     def expr(self) -> TangleExpr:
         if self.peek() == "C":
             tree: TangleExpr = self.closure()
         else:
-            tree = self.tangle()
+            tree, _ = self.tangle()
         if self.peek():
             raise ParseError(
                 f"unexpected trailing input {self.peek()!r}", self.pos
@@ -152,31 +166,42 @@ class _Parser:
     def closure(self) -> Closure:
         self.expect("C")
         self.expect("(")
-        inner = self.tangle()
+        inner, _ = self.tangle()
         self.expect(")")
         return Closure(inner)
 
-    def tangle(self) -> TangleExpr:
-        tree = self.term()
+    def tangle(self) -> tuple[TangleExpr, int]:
+        tree, nesting = self.term()
         while self.peek() == "+":
+            at = self.pos
             self.expect("+")
-            tree = Sum(tree, self.term())
-        return tree
+            right, right_nesting = self.term()
+            tree, nesting = Sum(tree, right), max(nesting, right_nesting) + 1
+            if nesting > MAX_NESTING:
+                raise ParseError(_TOO_DEEP, at)
+        return tree, nesting
 
-    def term(self) -> TangleExpr:
+    def term(self) -> tuple[TangleExpr, int]:
         ch = self.peek()
         if ch == "(":
+            at = self.pos
+            self.parens += 1
+            if self.parens > MAX_NESTING:  # before recursing any deeper
+                raise ParseError(_TOO_DEEP, at)
             self.expect("(")
-            inner = self.tangle()
+            inner, nesting = self.tangle()
             self.expect(")")
-            return inner
+            self.parens -= 1
+            if nesting + 1 > MAX_NESTING:
+                raise ParseError(_TOO_DEEP, at)
+            return inner, nesting + 1
         if ch == "P":
-            return self.pretzel()
+            return self.pretzel(), 0
         if ch == "M":
-            return self.montesinos()
+            return self.montesinos(), 0
         if ch == "C":
             raise ParseError("closure C(...) is only allowed at the top level", self.pos)
-        return RationalTangle(self.rational())
+        return RationalTangle(self.rational()), 0
 
     def rational(self) -> Fraction:
         numerator = self.integer()
@@ -254,8 +279,8 @@ def normalize_pretzel(triple: PretzelTriple) -> tuple[PretzelTriple, bool]:
     (3,-2,3) stays (-2,3,3) while (2,-3,-5) flips to (-2,3,5) with the
     mirror flag set.
     """
-    plain = tuple(sorted(triple.entries()))
-    mirrored = tuple(sorted(-e for e in triple.entries()))
+    low, mid, high = sorted(triple.entries())
+    plain, mirrored = (low, mid, high), (-high, -mid, -low)
     if mirrored > plain:
         return PretzelTriple(*mirrored), True
     return PretzelTriple(*plain), False

@@ -31,7 +31,7 @@ from pretzelrep import (
     tangle_string_bound,
     torus_pretzel,
 )
-from pretzelrep.linktrace import _is_knot_fast
+from pretzelrep.linktrace import knot_components
 from test_slopelemma import _parameter_matches
 
 SURVIVORS = {(-2, 3, 3), (-2, 3, 5)}
@@ -52,7 +52,7 @@ def test_criterion_1_desk_scale_scan():
     values = [v for v in range(-50, 51) if abs(v) >= 2]
     accepted, exact = set(), set()
     for entries in combinations_with_replacement(values, 3):
-        if not _is_knot_fast(entries):
+        if knot_components(entries) != 1:
             continue
         triple = PretzelTriple(*entries)
         if any(p.verdict.accepted for p in enumerate_patterns(triple)):
@@ -104,7 +104,7 @@ def test_criterion_4_closed_form_euler_characteristic():
     ok = True
     values = [v for v in range(-20, 21) if abs(v) >= 2]
     for entries in combinations_with_replacement(values, 3):
-        if not _is_knot_fast(entries):
+        if knot_components(entries) != 1:
             continue
         for pattern in enumerate_patterns(PretzelTriple(*entries)):
             a = -min(pattern.boundary_slopes)

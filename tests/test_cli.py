@@ -168,6 +168,60 @@ def test_closed_pipe_exits_1_without_traceback():
     assert err == b"" and child.returncode == 1
 
 
+# The messages of the domain errors a link, a zero twist or a unit twist
+# draws; none of them needs a diagram.
+NO_DIAGRAM_ERRORS = [
+    (["classify", "P(2,4,6)"], "not a knot (3 components)"),
+    (["classify", "P(2,4,5)"], "not a knot (2 components)"),
+    (["classify", "P(1,2,4)"], "not a knot (2 components)"),
+    (["classify", "M(1/2,1/4,1/6)"], "not a knot (3 components)"),
+    (["classify", "P(2,4,250000)"], "not a knot (3 components)"),
+    (["classify", "P(0,3,5)"], "zero twist parameter in (0, 3, 5)"),
+    (["classify", "P(0,2,4)"], "zero twist parameter in (0, 2, 4)"),
+    (["classify", "P(0,1,1)"], "zero twist parameter in (0, 1, 1)"),
+    (["surfaces", "P(2,4,6)"], "not a knot (3 components)"),
+    (["surfaces", "P(1,2,4)"], "twist parameters must have absolute value >= 2, got (1, 2, 4)"),
+    (["surfaces", "P(1,3,5)"], "twist parameters must have absolute value >= 2, got (1, 3, 5)"),
+    (["surfaces", "P(-1,2,3)"], "twist parameters must have absolute value >= 2, got (-1, 2, 3)"),
+    (["surfaces", "P(0,1,2)"], "zero twist parameter in (0, 1, 2)"),
+    (["surfaces", "P(0,2,4)"], "zero twist parameter in (0, 2, 4)"),
+]
+
+
+def test_error_paths_build_no_diagram(monkeypatch):
+    original = pretzelrep.linktrace.pretzel_diagram
+
+    def refuse(twists):
+        raise AssertionError(f"a diagram was built for {tuple(twists)}")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pretzelrep" and getattr(module, "pretzel_diagram", None) is original:
+            monkeypatch.setattr(module, "pretzel_diagram", refuse)
+            patched.append(name)
+    assert "pretzelrep.cli" in patched and "pretzelrep.linktrace" in patched
+    for args, message in NO_DIAGRAM_ERRORS:
+        for flag in ([], ["--json"]):
+            assert run_cli(args + flag) == (2, "", f"error: {message}\n"), args + flag
+
+
+DEEP_PARENS = "(" * 2000 + "1/2" + ")" * 2000
+LONG_SUM = "+".join(["1/2"] * 3000)
+
+
+@pytest.mark.parametrize("args", [
+    ["parse", DEEP_PARENS],
+    ["parse", LONG_SUM],
+    ["parse", LONG_SUM, "--json"],
+    ["classify", f"C({LONG_SUM})"],
+], ids=["parse-2000-parens", "parse-3000-terms", "parse-json-3000-terms",
+        "classify-closure-3000-terms"])
+def test_deep_expression_exits_1(args):
+    code, out, err = run_cli(args)
+    assert code == 1 and out == ""
+    assert "nests deeper than 200 levels" in err and "(at position" in err
+
+
 def _freeze():
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, args in CASES:

@@ -7,13 +7,15 @@ import pytest
 from pretzelrep import (
     DegenerateTangleError,
     InvalidPDCodeError,
+    NotAKnotError,
     PDCode,
     PretzelTriple,
     component_count,
     is_knot,
     pretzel_diagram,
+    pretzel_knot,
 )
-from pretzelrep.linktrace import _is_knot_fast
+from pretzelrep.linktrace import knot_components
 
 
 def _arc_multiset(code):
@@ -87,7 +89,7 @@ def test_fast_parity_helper_matches_tracing():
     values = [v for v in range(-4, 5) if v != 0]
     for entries in product(values, repeat=3):
         traced = component_count(pretzel_diagram(entries)) == 1
-        assert _is_knot_fast(entries) is traced
+        assert (knot_components(entries) == 1) is traced
 
 
 def test_reversal_and_mirror_preserve_components():
@@ -98,3 +100,15 @@ def test_reversal_and_mirror_preserve_components():
         count = component_count(pretzel_diagram(twists))
         assert component_count(pretzel_diagram(twists[::-1])) == count
         assert component_count(pretzel_diagram([-t for t in twists])) == count
+
+
+def test_not_a_knot_message_counts_traced_components():
+    values = [v for v in range(-6, 7) if v != 0]
+    for entries in product(values, repeat=3):
+        traced = component_count(pretzel_diagram(entries))
+        if traced == 1:
+            assert pretzel_knot(PretzelTriple(*entries)).entries == entries
+            continue
+        with pytest.raises(NotAKnotError) as info:
+            pretzel_knot(PretzelTriple(*entries))
+        assert str(info.value) == f"not a knot ({traced} components)", entries

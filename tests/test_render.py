@@ -9,6 +9,7 @@ representativity_bounds and scan_assignments, encoded by json.dumps.
 import io
 import json
 from itertools import combinations_with_replacement
+from math import comb
 from random import Random
 
 import pytest
@@ -182,3 +183,18 @@ def test_range_streams_one_report_at_a_time(flags):
     chunks = [c for c in out.chunks if c]
     assert len(chunks) >= reports
     assert max(len(c) for c in chunks) <= 64 * 1024
+
+
+def test_range_matches_single_classify():
+    # the box holds unit twists and links, which the range skips
+    reports = json.loads(run_cli(["classify", "--range", "-7:7", "--json"]))
+    values = [v for v in range(-7, 8) if v != 0]
+    odd = sum(1 for v in values if v % 2)
+    even = len(values) - odd
+    # multisets of three entries with no even entry, or with exactly one
+    assert len(reports) == comb(odd + 2, 3) + even * comb(odd + 1, 2)
+    knots = [t for t in combinations_with_replacement(values, 3)
+             if sum(1 for e in t if e % 2 == 0) <= 1]
+    for triple, report in zip(knots, reports, strict=True):
+        single = run_cli(["classify", "P({},{},{})".format(*triple), "--json"])
+        assert report == json.loads(single), triple

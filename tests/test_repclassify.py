@@ -17,7 +17,7 @@ from pretzelrep import (
     tangle_string_bound,
     torus_pretzel,
 )
-from pretzelrep.linktrace import _is_knot_fast
+from pretzelrep.linktrace import knot_components
 
 
 def _bounds(text) -> RepReport:
@@ -130,7 +130,7 @@ def test_permutation_gives_identical_report():
 def test_mirror_preserves_bounds():
     values = [v for v in range(-6, 7) if v != 0]
     for entries in combinations_with_replacement(values, 3):
-        if not _is_knot_fast(entries):
+        if knot_components(entries) != 1:
             continue
         triple = PretzelTriple(*entries)
         report = representativity_bounds(Pretzel(triple))
@@ -155,7 +155,7 @@ def _replay(report: RepReport):
 def test_rules_replay_to_reported_bounds():
     values = [v for v in range(-5, 6) if v != 0]
     for entries in combinations_with_replacement(values, 3):
-        if not _is_knot_fast(entries):
+        if knot_components(entries) != 1:
             continue
         report = representativity_bounds(Pretzel(PretzelTriple(*entries)))
         assert _replay(report) == (report.lower, report.upper, report.exact)

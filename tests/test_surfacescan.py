@@ -17,7 +17,7 @@ from pretzelrep import (
     normalize_pretzel,
     scan_assignments,
 )
-from pretzelrep.linktrace import _is_knot_fast
+from pretzelrep.linktrace import knot_components
 
 
 def _single_pattern(p, q, r):
@@ -187,7 +187,7 @@ def test_final_filter_rejects_mismatched_triple():
 def test_patterns_reconstruct_their_triple():
     values = [v for v in range(-12, 13) if abs(v) >= 2]
     for entries in combinations_with_replacement(values, 3):
-        if not _is_knot_fast(entries):
+        if knot_components(entries) != 1:
             continue
         triple = PretzelTriple(*entries)
         canonical, _ = normalize_pretzel(triple)

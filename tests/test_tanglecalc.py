@@ -1,3 +1,5 @@
+import io
+import json
 from fractions import Fraction
 from random import Random
 
@@ -5,6 +7,7 @@ import pytest
 
 from conftest import random_expr
 from pretzelrep import (
+    MAX_NESTING,
     Closure,
     DegenerateTangleError,
     Montesinos,
@@ -19,6 +22,7 @@ from pretzelrep import (
     parse_expr,
     pretzel_to_montesinos,
     print_expr,
+    run,
 )
 
 
@@ -186,3 +190,24 @@ def test_is_large_algebraic_examples():
 def test_is_large_algebraic_needs_closure():
     with pytest.raises(ShapeError):
         is_large_algebraic(parse_expr("(1/3+1/5)+(1/2+1/7)"))
+
+
+def test_nesting_limit_round_trips_at_the_limit():
+    leaves = [RationalTangle(Fraction(1, k + 2)) for k in range(MAX_NESTING + 1)]
+    left_deep = leaves[0]
+    for leaf in leaves[1:]:  # MAX_NESTING Sum nodes on the left spine
+        left_deep = Sum(left_deep, leaf)
+    right_nested = leaves[0]
+    for leaf in leaves[1:MAX_NESTING // 2 + 1]:  # a parenthesis and a Sum per level
+        right_nested = Sum(leaf, right_nested)
+    for tree in (left_deep, Closure(left_deep), right_nested):
+        text = print_expr(tree)
+        assert parse_expr(text) == tree
+        out, err = io.StringIO(), io.StringIO()
+        assert run(["parse", text, "--json"], out, err) == 0 and err.getvalue() == ""
+        assert json.loads(out.getvalue())["printed"] == text
+    assert parse_expr("(" * MAX_NESTING + "1/2" + ")" * MAX_NESTING) == leaves[0]
+    with pytest.raises(ParseError):
+        parse_expr(print_expr(Sum(left_deep, leaves[0])))
+    with pytest.raises(ParseError):
+        parse_expr("(" * (MAX_NESTING + 1) + "1/2" + ")" * (MAX_NESTING + 1))
