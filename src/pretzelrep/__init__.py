@@ -1,6 +1,6 @@
 """Representativity bounds for (p,q,r)-pretzel knots.
 
-Exact tangle arithmetic, planar diagram tracing, the reciprocal-sum
+Tangle expressions, planar diagram tracing, the reciprocal-sum
 lemma behind the boundary slopes, a candidate essential surface scan,
 and a small rule-based classifier tying them together.  See the
 individual modules for the mathematics; the cli module provides the
@@ -8,7 +8,6 @@ command line entry point.
 """
 
 from .errors import (
-    ContinuedFractionError,
     DegenerateSlopeError,
     DegenerateTangleError,
     DomainError,
@@ -20,9 +19,7 @@ from .errors import (
     PretzelRepError,
     ShapeError,
     UnsupportedInputError,
-    ZeroDenominatorError,
 )
-from .exactmath import cf_to_fraction, fraction_to_cf, reduce, sum_reciprocals
 from .tanglecalc import (
     MAX_NESTING,
     Closure,
@@ -60,7 +57,6 @@ from .slopelemma import (
 from .surfacescan import (
     TYPE_A,
     TYPE_B,
-    AssignmentScan,
     SurfacePattern,
     Verdict,
     enumerate_patterns,
@@ -75,6 +71,7 @@ from .repclassify import (
     RepReport,
     TorusInfo,
     bridge_upper,
+    pretzel_form_knot,
     representativity_bounds,
     tangle_string_bound,
     torus_pretzel,

@@ -29,15 +29,10 @@ from .errors import (
     UnsupportedInputError,
 )
 from .linktrace import PretzelKnot, component_count, pretzel_diagram, pretzel_knot
-from .repclassify import (
-    RepReport,
-    _montesinos_triple,
-    representativity_bounds,
-)
-from .surfacescan import AssignmentScan, scan_assignments, scannable_knot
+from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
+from .surfacescan import SurfacePattern, scan_assignments, scannable_knot
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
-    Closure,
     Montesinos,
     Pretzel,
     PretzelTriple,
@@ -153,7 +148,7 @@ def _cmd_classify(args, out) -> None:
         _classify_range(args.range_spec, args.json, out)
         return
     expression = parse_expr(args.expr)
-    knot = _classified_knot(expression)
+    knot = pretzel_form_knot(expression)
     report = representativity_bounds(expression if knot is None else knot)
     if args.json:
         out.write(_report_json(args.expr, expression, knot, report, "") + "\n")
@@ -227,15 +222,6 @@ def _range_line(text: str, knot: PretzelKnot, report: RepReport) -> str:
     return line
 
 
-def _classified_knot(expression: TangleExpr) -> PretzelKnot | None:
-    """The validated knot of a pretzel or Montesinos form, else None."""
-    if isinstance(expression, Pretzel):
-        return pretzel_knot(expression.triple)
-    if isinstance(expression, Montesinos):
-        return pretzel_knot(_montesinos_triple(expression))
-    return None
-
-
 def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
                  report: RepReport) -> list[str]:
     lines = [f"input: {print_expr(expression)}"]
@@ -288,7 +274,7 @@ def _effect_text(rule) -> str:
     return effect
 
 
-def _surface_rows(knot: PretzelKnot) -> list[AssignmentScan] | None:
+def _surface_rows(knot: PretzelKnot) -> list[SurfacePattern] | None:
     try:
         return scan_assignments(knot)
     except DegenerateTangleError:
@@ -460,7 +446,7 @@ def _parse_pretzel_argument(text: str, command: str) -> PretzelTriple:
     return expression.triple
 
 
-def _row_text(row: AssignmentScan) -> str:
+def _row_text(row: SurfacePattern) -> str:
     types = "".join(row.tangle_types)
     s1, s2, s3 = row.boundary_slopes
     text = f"types={types} slopes=({s1},{s2},{s3})"
@@ -468,15 +454,16 @@ def _row_text(row: AssignmentScan) -> str:
         h1, h2, h3 = row.sheets
         text += (f" arcs={row.arcs} sheets=({h1},{h2},{h3})"
                  f" chi={row.chi} genus={row.genus_val}")
-    text += f" verdict={'accepted' if row.accepted else 'rejected'}"
-    if row.family is not None:
-        text += f" family={row.family}"
-    if row.reason is not None:
-        text += f" reason={row.reason}"
+    verdict = row.verdict
+    text += f" verdict={'accepted' if verdict.accepted else 'rejected'}"
+    if verdict.family is not None:
+        text += f" family={verdict.family}"
+    if verdict.reason is not None:
+        text += f" reason={verdict.reason}"
     return text
 
 
-def _row_csv(row: AssignmentScan) -> list:
+def _row_csv(row: SurfacePattern) -> list:
     def opt(value):
         return "" if value is None else value
 
@@ -484,11 +471,11 @@ def _row_csv(row: AssignmentScan) -> list:
     return ["".join(row.tangle_types), *row.boundary_slopes, opt(row.arcs),
             *(opt(h) for h in sheets), opt(row.chi), opt(row.genus_val),
             "true" if row.structural else "false",
-            "accepted" if row.accepted else "rejected",
-            opt(row.family), opt(row.reason)]
+            "accepted" if row.verdict.accepted else "rejected",
+            opt(row.verdict.family), opt(row.verdict.reason)]
 
 
-def _row_json(row: AssignmentScan, pad: str) -> str:
+def _row_json(row: SurfacePattern, pad: str) -> str:
     """One scan row as JSON, its opening brace at indent pad."""
     if row.structural:
         measures = (_scalar(row.arcs), _ints(row.sheets, pad + "  "),
@@ -497,8 +484,8 @@ def _row_json(row: AssignmentScan, pad: str) -> str:
         measures = _UNMEASURED
     return _at(_ROW, pad) % (
         "".join(row.tangle_types), *row.boundary_slopes, *measures,
-        "accepted" if row.accepted else "rejected",
-        _constant(row.family), _constant(row.reason))
+        "accepted" if row.verdict.accepted else "rejected",
+        _constant(row.verdict.family), _constant(row.verdict.reason))
 
 
 # --- lemma ---

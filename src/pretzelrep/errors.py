@@ -25,14 +25,6 @@ class DomainError(PretzelRepError):
     """Input is well formed but outside the domain of the operation."""
 
 
-class ZeroDenominatorError(DomainError):
-    """A fraction with denominator zero was requested."""
-
-
-class ContinuedFractionError(DomainError):
-    """A continued fraction expansion is empty or hits a zero convergent."""
-
-
 class DegenerateTangleError(DomainError):
     """A twist parameter is zero, or too small for the requested analysis."""
 

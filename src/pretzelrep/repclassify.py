@@ -36,6 +36,7 @@ __all__ = [
     "bridge_upper",
     "torus_pretzel",
     "tangle_string_bound",
+    "pretzel_form_knot",
     "representativity_bounds",
 ]
 
@@ -173,26 +174,32 @@ def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
     """
     if isinstance(expression, PretzelKnot):
         return _classify_pretzel(expression)
-    if isinstance(expression, Pretzel):
-        return _classify_pretzel(pretzel_knot(expression.triple))
-    if isinstance(expression, Montesinos):
-        return _classify_pretzel(pretzel_knot(_montesinos_triple(expression)))
     if isinstance(expression, Closure):
         return _classify_closure(expression)
-    raise UnsupportedInputError(
-        "no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "
-        "or a top-level closure C(T1+T2)"
-    )
+    knot = pretzel_form_knot(expression)
+    if knot is None:
+        raise UnsupportedInputError(
+            "no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "
+            "or a top-level closure C(T1+T2)"
+        )
+    return _classify_pretzel(knot)
 
 
-def _montesinos_triple(expression: Montesinos) -> PretzelTriple:
+def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
+    """The validated knot of a pretzel form P(p,q,r) or a Montesinos form
+    M(1/p,1/q,1/r), read as the pretzel (p,q,r); None for any other
+    expression."""
+    if isinstance(expression, Pretzel):
+        return pretzel_knot(expression.triple)
+    if not isinstance(expression, Montesinos):
+        return None
     slopes = expression.slopes
     if len(slopes) != 3 or any(abs(f.numerator) != 1 for f in slopes):
         raise UnsupportedInputError(
             "only Montesinos forms M(1/p,1/q,1/r) with three unit-numerator "
             "slopes classify as pretzels"
         )
-    return PretzelTriple(*(f.denominator * f.numerator for f in slopes))
+    return pretzel_knot(PretzelTriple(*(f.denominator * f.numerator for f in slopes)))
 
 
 def _classify_pretzel(knot: PretzelKnot) -> RepReport:

@@ -37,7 +37,6 @@ __all__ = [
     "TYPE_B",
     "Verdict",
     "SurfacePattern",
-    "AssignmentScan",
     "enumerate_patterns",
     "scan_assignments",
     "scannable_knot",
@@ -52,7 +51,7 @@ TYPE_B = "B"
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of the compressing-disk filter for one pattern."""
+    """Outcome of the structural and compressing-disk filters for one row."""
 
     accepted: bool
     reason: str | None = None    # None exactly when accepted
@@ -61,32 +60,34 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SurfacePattern:
-    """A structurally consistent candidate surface for one type choice."""
+    """One row of the eight-assignment scan.
+
+    The measures (arcs through genus_val) are None when no surface has
+    these boundary slopes; the verdict then names the existence filter
+    that failed.
+    """
 
     tangle_types: tuple[str, str, str]
     boundary_slopes: tuple[int, int, int]
-    arcs: int                    # N, intersection arcs per meridian disk
-    sheets: tuple[int, int, int]
-    longitudes: int              # L = 2N on the boundary torus
-    chi: int
-    genus_val: int
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
-class AssignmentScan:
-    """One row of the full 8-assignment scan, including rejected rows."""
-
-    tangle_types: tuple[str, str, str]
-    boundary_slopes: tuple[int, int, int]
-    arcs: int | None
+    arcs: int | None             # N, intersection arcs per meridian disk
     sheets: tuple[int, int, int] | None
+    longitudes: int | None       # L = 2N on the boundary torus
     chi: int | None
     genus_val: int | None
-    structural: bool             # passed the existence filters
-    accepted: bool
-    family: str | None
-    reason: str | None
+    verdict: Verdict
+
+    @property
+    def structural(self) -> bool:
+        """Whether the row passed the existence filters."""
+        return self.arcs is not None
+
+
+# the verdicts of the existence filters, one per way to fail them
+_SIGN_PATTERN = Verdict(False, "requires exactly one negative boundary slope")
+_RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
+_DENOMINATOR = Verdict(False, "common denominator exceeds the largest boundary slope")
+_SINGLE_DISK = Verdict(False, "single-disk region must meet the surface in one sheet")
+_PARALLEL_DISKS = Verdict(False, "parallel-disk region needs at least two sheets")
 
 
 def scannable_knot(triple: PretzelTriple | PretzelKnot) -> PretzelKnot:
@@ -100,74 +101,57 @@ def scannable_knot(triple: PretzelTriple | PretzelKnot) -> PretzelKnot:
     return pretzel_knot(triple)
 
 
-def _structural_reason(types, slopes) -> str | None:
-    """Why no surface with these slopes exists, or None if one does."""
+def _structural_reason(types, slopes) -> Verdict | None:
+    """The verdict of the existence filter these slopes fail, or None."""
     x, y, z = slopes
     if sum(1 for s in slopes if s < 0) != 1:
-        return "requires exactly one negative boundary slope"
+        return _SIGN_PATTERN
     if y * z + x * z + x * y != 0:  # 1/x + 1/y + 1/z = 0 cleared of fractions
-        return "boundary slopes fail 1/p' + 1/q' + 1/r' = 0"
+        return _RECIPROCAL_SUM
     n = lcm(*(abs(s) for s in slopes))
     if n != max(abs(s) for s in slopes):
-        return "common denominator exceeds the largest boundary slope"
+        return _DENOMINATOR
     for ty, s in zip(types, slopes):
         sheet = n // abs(s)
         if ty == TYPE_B and sheet != 1:
-            return "single-disk region must meet the surface in one sheet"
+            return _SINGLE_DISK
         if ty == TYPE_A and sheet < 2:
-            return "parallel-disk region needs at least two sheets"
+            return _PARALLEL_DISKS
     return None
 
 
-def scan_assignments(triple: PretzelTriple | PretzelKnot) -> list[AssignmentScan]:
+def scan_assignments(triple: PretzelTriple | PretzelKnot) -> list[SurfacePattern]:
     """All eight type assignments for the canonical form of the triple.
 
     Rows appear in lexicographic type order AAA..BBB.  Slope and count
     data refer to the canonical (sorted, possibly mirrored) triple.
     """
     knot = scannable_knot(triple)
-    entries = knot.canonical
     rows = []
     for types in product((TYPE_A, TYPE_B), repeat=3):
-        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, entries))
-        reason = _structural_reason(types, slopes)
-        if reason is not None:
-            rows.append(AssignmentScan(types, slopes, None, None, None, None,
-                                       False, False, None, reason))
+        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, knot.canonical))
+        rejected = _structural_reason(types, slopes)
+        if rejected is not None:
+            rows.append(SurfacePattern(types, slopes, None, None, None, None, None, rejected))
             continue
-        pattern = _build_pattern(types, slopes)
-        verdict = final_filter(pattern, knot)
-        rows.append(AssignmentScan(types, slopes, pattern.arcs, pattern.sheets,
-                                   pattern.chi, pattern.genus_val, True,
-                                   verdict.accepted, verdict.family, verdict.reason))
+        n = max(abs(s) for s in slopes)  # equals the lcm for structural survivors
+        sheets = tuple(n // abs(s) for s in slopes)
+        chi = sum(sheets) - n
+        # final_filter reads only the types and slopes of the row
+        row = SurfacePattern(types, slopes, n, sheets, 2 * n, chi,
+                             _genus_from_chi(chi), None)
+        rows.append(replace(row, verdict=final_filter(row, knot)))
     return rows
 
 
 def enumerate_patterns(triple: PretzelTriple | PretzelKnot) -> list[SurfacePattern]:
-    """Structurally consistent patterns for the canonical form of the triple.
+    """The scan rows that pass the existence filters, in scan order.
 
     Each pattern carries the verdict of the compressing-disk filter; an
     accepted pattern exists exactly for the canonical triples (-2,3,3)
     and (-2,3,5).
     """
-    knot = scannable_knot(triple)
-    entries = knot.canonical
-    patterns = []
-    for types in product((TYPE_A, TYPE_B), repeat=3):
-        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, entries))
-        if _structural_reason(types, slopes) is not None:
-            continue
-        pattern = _build_pattern(types, slopes)
-        patterns.append(replace(pattern, verdict=final_filter(pattern, knot)))
-    return patterns
-
-
-def _build_pattern(types, slopes) -> SurfacePattern:
-    n = max(abs(s) for s in slopes)  # equals the lcm for structural survivors
-    sheets = tuple(n // abs(s) for s in slopes)
-    chi = sum(sheets) - n
-    return SurfacePattern(types, slopes, n, sheets, 2 * n, chi,
-                          _genus_from_chi(chi), Verdict(False, "pending", None))
+    return [row for row in scan_assignments(triple) if row.structural]
 
 
 def euler_characteristic(pattern: SurfacePattern) -> int:
@@ -176,8 +160,10 @@ def euler_characteristic(pattern: SurfacePattern) -> int:
     The surface has 3L vertices, 3N + 3L edges and sum(sheets) + L
     faces, which collapses to sum(sheets) - N.  Inconsistent counts
     mean the pattern was not produced by the scan and are an invariant
-    violation.
+    violation, and so is a row that failed the existence filters.
     """
+    if not pattern.structural:
+        raise InvariantError(f"no surface has boundary slopes {pattern.boundary_slopes}")
     if pattern.longitudes != 2 * pattern.arcs:
         raise InvariantError(
             f"longitude count {pattern.longitudes} is not twice the arc count"

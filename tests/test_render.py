@@ -47,9 +47,9 @@ def row_obj(row) -> dict:
         "chi": row.chi,
         "genus": row.genus_val,
         "structural": row.structural,
-        "verdict": "accepted" if row.accepted else "rejected",
-        "family": row.family,
-        "reason": row.reason,
+        "verdict": "accepted" if row.verdict.accepted else "rejected",
+        "family": row.verdict.family,
+        "reason": row.verdict.reason,
     }
 
 

@@ -104,33 +104,35 @@ def test_scan_rows_for_233():
         ("A", "A", "A"), ("A", "A", "B"), ("A", "B", "A"), ("A", "B", "B"),
         ("B", "A", "A"), ("B", "A", "B"), ("B", "B", "A"), ("B", "B", "B"),
     ]
-    accepted = [r for r in rows if r.accepted]
+    accepted = [r for r in rows if r.verdict.accepted]
     assert len(accepted) == 1 and accepted[0].tangle_types == ("A", "B", "B")
     for row in rows:
         if not row.structural:
-            assert row.reason is not None
+            assert row.verdict.reason is not None
             assert row.arcs is None and row.sheets is None
+            with pytest.raises(InvariantError):
+                genus(row)
 
 
 def test_scan_structural_failure_reasons():
     # slopes (-2,3,5) miss the reciprocal sum
     rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-2, 3, 5))}
-    assert rows[("A", "A", "A")].reason == "boundary slopes fail 1/p' + 1/q' + 1/r' = 0"
+    assert rows[("A", "A", "A")].verdict.reason == "boundary slopes fail 1/p' + 1/q' + 1/r' = 0"
     # all-positive and doubly-negative sign patterns
     rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(3, 5, 7))}
-    assert rows[("A", "A", "A")].reason == "requires exactly one negative boundary slope"
+    assert rows[("A", "A", "A")].verdict.reason == "requires exactly one negative boundary slope"
     # (-6,9,15) with types ABA reaches slopes (-6,10,15) where
     # lcm(6,10,15) = 30 > 15
     rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-6, 9, 15))}
-    assert rows[("A", "B", "A")].reason == "common denominator exceeds the largest boundary slope"
+    assert rows[("A", "B", "A")].verdict.reason == "common denominator exceeds the largest boundary slope"
     # (-3,3,4) with types BBA reaches slopes (-2,4,4) where the first
     # region is single-disk but carries 2 sheets
     rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-3, 3, 4))}
-    assert rows[("B", "B", "A")].reason == "single-disk region must meet the surface in one sheet"
+    assert rows[("B", "B", "A")].verdict.reason == "single-disk region must meet the surface in one sheet"
     # (-3,5,6) with types ABA reaches slopes (-3,6,6) where the last
     # region is parallel-disk but carries a single sheet
     rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-3, 5, 6))}
-    assert rows[("A", "B", "A")].reason == "parallel-disk region needs at least two sheets"
+    assert rows[("A", "B", "A")].verdict.reason == "parallel-disk region needs at least two sheets"
 
 
 def test_scan_rejects_bad_triples():
@@ -184,6 +186,15 @@ def test_final_filter_rejects_mismatched_triple():
         final_filter(pattern, PretzelTriple(-2, 3, 5))
 
 
+_STRUCTURAL_REASONS = {
+    "requires exactly one negative boundary slope",
+    "boundary slopes fail 1/p' + 1/q' + 1/r' = 0",
+    "common denominator exceeds the largest boundary slope",
+    "single-disk region must meet the surface in one sheet",
+    "parallel-disk region needs at least two sheets",
+}
+
+
 def test_patterns_reconstruct_their_triple():
     values = [v for v in range(-12, 13) if abs(v) >= 2]
     for entries in combinations_with_replacement(values, 3):
@@ -191,7 +202,19 @@ def test_patterns_reconstruct_their_triple():
             continue
         triple = PretzelTriple(*entries)
         canonical, _ = normalize_pretzel(triple)
-        for pattern in enumerate_patterns(triple):
+        rows = scan_assignments(triple)
+        for row in rows:
+            if row.structural:
+                assert final_filter(row, triple) == row.verdict
+                assert euler_characteristic(row) == row.chi
+            else:
+                assert (row.arcs, row.sheets, row.longitudes, row.chi,
+                        row.genus_val) == (None, None, None, None, None)
+                assert not row.verdict.accepted and row.verdict.family is None
+                assert row.verdict.reason in _STRUCTURAL_REASONS
+        patterns = enumerate_patterns(triple)
+        assert patterns == [row for row in rows if row.structural]
+        for pattern in patterns:
             rebuilt = tuple(
                 s if ty == "A" else s - 1
                 for ty, s in zip(pattern.tangle_types, pattern.boundary_slopes)
