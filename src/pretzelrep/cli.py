@@ -28,7 +28,13 @@ from .errors import (
     PretzelRepError,
     UnsupportedInputError,
 )
-from .linktrace import PretzelKnot, component_count, pretzel_diagram, pretzel_knot
+from .linktrace import (
+    PretzelKnot,
+    component_count,
+    diagram_twists,
+    pretzel_diagram,
+    pretzel_knot,
+)
 from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
 from .surfacescan import SurfacePattern, scan_assignments, scannable_knot
 from .slopelemma import enumerate_solutions
@@ -47,6 +53,9 @@ from .tanglecalc import (
 __all__ = ["run", "main", "build_parser"]
 
 _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
+
+# largest lemma --max: about 5 s and 190 MB as text, 300 MB as JSON
+LEMMA_MAX = 200_000
 
 
 class _UsageError(PretzelRepError):
@@ -340,6 +349,29 @@ _ROW = """{
   "reason": %s
 }"""
 
+_LEMMA_ROW = """{
+  "a": %d,
+  "b": %d,
+  "c": %d,
+  "k": %d,
+  "l": %d,
+  "d": %d
+}"""
+
+_TRACE = """{
+  "twists": %s,
+  "crossings": %d,
+  "components": %d,
+  "pd": %s
+}"""
+
+_CROSSING = """[
+  %d,
+  %d,
+  %d,
+  %d
+]"""
+
 # arcs, sheets, chi, genus and structural of a row that failed the
 # existence filters
 _UNMEASURED = ("null", "null", "null", "null", "false")
@@ -494,32 +526,34 @@ def _row_json(row: SurfacePattern, pad: str) -> str:
 def _cmd_lemma(args, out) -> None:
     if args.max_c < 2:
         raise _UsageError(f"--max must be at least 2, got {args.max_c}")
+    if args.max_c > LEMMA_MAX:
+        raise _UsageError(f"--max must be at most {LEMMA_MAX}, got {args.max_c}")
     solutions = enumerate_solutions(args.max_c)
     if args.json:
-        _emit_json([{"a": s.a, "b": s.b, "c": s.c,
-                     "k": s.k, "l": s.l, "d": s.d} for s in solutions], out)
+        row = _at(_LEMMA_ROW, "  ")
+        text = _array([row % (s.a, s.b, s.c, s.k, s.l, s.d) for s in solutions], "") + "\n"
     else:
-        for s in solutions:
-            print(f"{s.a} {s.b} {s.c} | k={s.k} l={s.l} d={s.d}", file=out)
+        text = "".join([f"{s.a} {s.b} {s.c} | k={s.k} l={s.l} d={s.d}\n" for s in solutions])
+    out.write(text)
 
 
 # --- trace ---
 
 
 def _cmd_trace(args, out) -> None:
-    triple = _parse_pretzel_argument(args.expr, "trace")
-    code = pretzel_diagram(triple.entries())
+    twists = diagram_twists(_parse_pretzel_argument(args.expr, "trace").entries())
+    code = pretzel_diagram(twists)
     components = component_count(code)
-    pd = [list(crossing) for crossing in code.crossings]
+    crossings = code.crossings
     if args.json:
-        _emit_json({"twists": list(triple.entries()),
-                    "crossings": len(pd),
-                    "components": components,
-                    "pd": pd}, out)
+        crossing = _at(_CROSSING, "    ")
+        text = _TRACE % (_ints(twists, "  "), len(crossings), components,
+                         _array([crossing % c for c in crossings], "  ")) + "\n"
     else:
-        print(f"crossings: {len(pd)}", file=out)
-        print(f"components: {components}", file=out)
-        print(f"pd: {json.dumps(pd, separators=(',', ':'))}", file=out)
+        # json encodes the crossing tuples as it would lists
+        text = (f"crossings: {len(crossings)}\ncomponents: {components}\n"
+                f"pd: {json.dumps(crossings, separators=(',', ':'))}\n")
+    out.write(text)
 
 
 # --- parse ---

@@ -3,25 +3,35 @@
 A diagram is a list of crossings, each a 4-tuple of arc labels read
 counterclockwise starting from the incoming under-strand, so slots 0
 and 2 belong to the under-strand and slots 1 and 3 to the over-strand.
-Arc labels are consecutive integers from 1 and every label appears on
-exactly two slots in the whole code.
+A code with n crossings labels its arcs 1..2n, and every label appears
+on exactly two slots in the whole code.
 
 The pretzel diagram for twist parameters (t_1, ..., t_n) stacks |t_i|
 crossings in the i-th vertical region; the regions are joined top-right
 to top-left and bottom-right to bottom-left of the next region, indices
-wrapping around.
+wrapping around.  pretzel_diagram builds at most MAX_CROSSINGS crossings.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from .errors import DegenerateTangleError, InvalidPDCodeError, NotAKnotError
+from .errors import (
+    DegenerateTangleError,
+    InvalidParameterError,
+    InvalidPDCodeError,
+    NotAKnotError,
+)
 from .tanglecalc import PretzelTriple, normalize_pretzel
 
-__all__ = ["PDCode", "PretzelKnot", "pretzel_diagram", "component_count", "is_knot",
-           "knot_components", "pretzel_knot"]
+__all__ = ["MAX_CROSSINGS", "PDCode", "PretzelKnot", "diagram_twists", "pretzel_diagram",
+           "component_count", "is_knot", "knot_components", "pretzel_knot"]
+
+# trace at this size: about 6 s and 465 MB as text, 830 MB as JSON
+MAX_CROSSINGS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -31,19 +41,31 @@ class PDCode:
     crossings: tuple[tuple[int, int, int, int], ...]
 
 
-def pretzel_diagram(twists: Sequence[int]) -> PDCode:
-    """Planar diagram code of the pretzel link with the given twists.
-
-    Twist parameter t_i > 0 stacks t_i positive crossings in region i,
-    t_i < 0 stacks |t_i| negative ones; a zero region has no crossing to
-    wire through and is rejected.
-    """
+def diagram_twists(twists: Sequence[int]) -> list[int]:
+    """The twists as a list, checked before any diagram is built: a
+    zero region has no crossing to wire through, and a diagram has at
+    most MAX_CROSSINGS crossings."""
     twists = list(twists)
     if not twists:
         raise DegenerateTangleError("empty twist list")
     if any(t == 0 for t in twists):
         raise DegenerateTangleError(f"zero twist parameter in {tuple(twists)}")
+    crossings = sum(abs(t) for t in twists)
+    if crossings > MAX_CROSSINGS:
+        raise InvalidParameterError(
+            f"the diagram would have {crossings} crossings, "
+            f"more than the limit of {MAX_CROSSINGS}")
+    return twists
 
+
+def pretzel_diagram(twists: Sequence[int]) -> PDCode:
+    """Planar diagram code of the pretzel link with the given twists.
+
+    Twist parameter t_i > 0 stacks t_i positive crossings in region i,
+    t_i < 0 stacks |t_i| negative ones; the twists must pass
+    diagram_twists.
+    """
+    twists = diagram_twists(twists)
     n = len(twists)
     # top[i] joins region i top-right to region i+1 top-left, bottom[i]
     # likewise along the lower edge; interior arcs are numbered after.
@@ -76,31 +98,60 @@ def component_count(code: PDCode) -> int:
 
     Strands glue along slots (0, 2) and (1, 3) of every crossing; the
     components are the equivalence classes of arcs under that gluing.
+    A code with n crossings must use each label 1..2n exactly twice.
     """
-    seen: dict[int, int] = {}
-    for crossing in code.crossings:
-        for arc in crossing:
-            seen[arc] = seen.get(arc, 0) + 1
-    for arc, count in seen.items():
-        if count != 2:
-            raise InvalidPDCodeError(
-                f"arc {arc} appears {count} times, expected exactly 2"
-            )
+    crossings = code.crossings
+    if not crossings:
+        return 0
+    size = 2 * len(crossings)
+    low, high = min(map(min, crossings)), max(map(max, crossings))
+    if low < 1 or high > size:
+        raise InvalidPDCodeError(
+            f"arc {low if low < 1 else high} is outside the labels 1..{size}")
 
-    parent = {arc: arc for arc in seen}
+    uses = bytearray(size + 1)
+    parent = list(range(size + 1))
+    merges = 0
+    try:
+        for a, b, c, d in crossings:
+            uses[a] += 1
+            uses[b] += 1
+            uses[c] += 1
+            uses[d] += 1
+            # join the under-strand arcs a, c, then the over-strand b, d,
+            # finding each root with path halving
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            if a != c:
+                parent[a] = c
+                merges += 1
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            while parent[d] != d:
+                parent[d] = d = parent[parent[d]]
+            if b != d:
+                parent[b] = d
+                merges += 1
+    except ValueError:  # a crossing without four slots, or a byte count past 255
+        raise _misused_label(crossings) from None
+    if uses.count(2) != size:
+        raise _misused_label(crossings)
+    return size - merges
 
-    def find(arc: int) -> int:
-        root = arc
-        while parent[root] != root:
-            root = parent[root]
-        while parent[arc] != root:  # path compression
-            parent[arc], arc = root, parent[arc]
-        return root
 
-    for a, b, c, d in code.crossings:
-        parent[find(a)] = find(c)
-        parent[find(b)] = find(d)
-    return sum(1 for arc in parent if find(arc) == arc)
+def _misused_label(crossings) -> InvalidPDCodeError:
+    """The error for a code whose labels lie in 1..2n but are not each
+    used exactly twice."""
+    for index, crossing in enumerate(crossings):
+        if len(crossing) != 4:
+            return InvalidPDCodeError(f"crossing {index} has {len(crossing)} slots, expected 4")
+    # 4n slots hold the 2n labels, so a label missing from the code
+    # leaves another used more than twice: some count is always off
+    arc, count = next((arc, count) for arc, count in Counter(chain.from_iterable(crossings)).items()
+                      if count != 2)
+    return InvalidPDCodeError(f"arc {arc} appears {count} times, expected exactly 2")
 
 
 def is_knot(triple: PretzelTriple) -> bool:

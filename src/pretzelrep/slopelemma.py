@@ -48,7 +48,7 @@ class SlopeCondition(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LemmaSolution:
     """One solution triple together with its parametrization."""
 
@@ -85,20 +85,19 @@ def enumerate_solutions(max_c: int) -> list[LemmaSolution]:
     and the twin family is covered once by (k, l) = (1, 2), so no
     deduplication is needed.
     """
-    solutions = []
+    rows = []
     k = 1
     # smallest c for a given k is k(k+1) via l = k+1, d = 1
     while k * (k + 1) <= max_c:
         for l in range(k + 1, 2 * k + 1):
             if gcd(k, l) != 1:
                 continue
-            base = k * l
-            for d in range(1, max_c // base + 1):
-                a, b, c = parametrize(k, l, d)
-                solutions.append(LemmaSolution(a, b, c, k, l, d))
+            a, b, c = parametrize(k, l, 1)
+            rows.extend((a * d, b * d, c * d, k, l, d) for d in range(1, max_c // c + 1))
         k += 1
-    solutions.sort(key=lambda s: (s.a, s.b, s.c))
-    return solutions
+    # (a, b, c) is unique, so the sort never compares the parameters
+    rows.sort()
+    return [LemmaSolution(*row) for row in rows]
 
 
 def brute_force_solutions(max_c: int) -> list[tuple[int, int, int]]:

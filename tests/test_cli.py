@@ -188,7 +188,9 @@ NO_DIAGRAM_ERRORS = [
 ]
 
 
-def test_error_paths_build_no_diagram(monkeypatch):
+@pytest.fixture
+def refuse_diagrams(monkeypatch):
+    """Make every binding of pretzel_diagram in the package fail."""
     original = pretzelrep.linktrace.pretzel_diagram
 
     def refuse(twists):
@@ -200,9 +202,36 @@ def test_error_paths_build_no_diagram(monkeypatch):
             monkeypatch.setattr(module, "pretzel_diagram", refuse)
             patched.append(name)
     assert "pretzelrep.cli" in patched and "pretzelrep.linktrace" in patched
+
+
+def test_error_paths_build_no_diagram(refuse_diagrams):
     for args, message in NO_DIAGRAM_ERRORS:
         for flag in ([], ["--json"]):
             assert run_cli(args + flag) == (2, "", f"error: {message}\n"), args + flag
+
+
+def test_trace_above_the_crossing_budget_builds_no_diagram(refuse_diagrams):
+    message = ("error: the diagram would have 10000005 crossings, "
+               "more than the limit of 2000000\n")
+    for flag in ([], ["--json"]):
+        assert run_cli(["trace", "P(-2,3,10000000)", *flag]) == (2, "", message)
+
+
+@pytest.mark.parametrize("max_c", [200001, 10**30], ids=["200001", "1e30"])
+def test_lemma_above_the_budget_exits_1_at_once(monkeypatch, max_c):
+    def refuse(max_c):
+        raise AssertionError(f"solutions were enumerated up to {max_c}")
+
+    monkeypatch.setattr(pretzelrep.cli, "enumerate_solutions", refuse)
+    for flag in ([], ["--json"]):
+        code, out, err = run_cli(["lemma", "--max", str(max_c), *flag])
+        assert (code, out) == (1, "")
+        assert err == f"error: --max must be at most 200000, got {max_c}\n"
+
+
+def test_lemma_budget_admits_its_limit(monkeypatch):
+    monkeypatch.setattr(pretzelrep.cli, "enumerate_solutions", lambda max_c: [])
+    assert run_cli(["lemma", "--max", "200000"]) == (0, "", "")
 
 
 DEEP_PARENS = "(" * 2000 + "1/2" + ")" * 2000

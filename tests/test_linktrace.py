@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import product
 from random import Random
@@ -6,6 +7,7 @@ import pytest
 
 from pretzelrep import (
     DegenerateTangleError,
+    InvalidParameterError,
     InvalidPDCodeError,
     NotAKnotError,
     PDCode,
@@ -15,7 +17,7 @@ from pretzelrep import (
     pretzel_diagram,
     pretzel_knot,
 )
-from pretzelrep.linktrace import knot_components
+from pretzelrep.linktrace import MAX_CROSSINGS, diagram_twists, knot_components
 
 
 def _arc_multiset(code):
@@ -112,3 +114,98 @@ def test_not_a_knot_message_counts_traced_components():
         with pytest.raises(NotAKnotError) as info:
             pretzel_knot(PretzelTriple(*entries))
         assert str(info.value) == f"not a knot ({traced} components)", entries
+
+
+def _reference_component_count(code):
+    # a dict-based union-find with a separate find, kept as an
+    # independent reference for component_count
+    seen = {}
+    for crossing in code.crossings:
+        for arc in crossing:
+            seen[arc] = seen.get(arc, 0) + 1
+    assert all(count == 2 for count in seen.values())
+    parent = {arc: arc for arc in seen}
+
+    def find(arc):
+        root = arc
+        while parent[root] != root:
+            root = parent[root]
+        while parent[arc] != root:
+            parent[arc], arc = root, parent[arc]
+        return root
+
+    for a, b, c, d in code.crossings:
+        parent[find(a)] = find(c)
+        parent[find(b)] = find(d)
+    return sum(1 for arc in parent if find(arc) == arc)
+
+
+def _relabeled(code, rng):
+    labels = list(range(1, 2 * len(code.crossings) + 1))
+    rng.shuffle(labels)
+    return PDCode(tuple(tuple(labels[arc - 1] for arc in crossing)
+                        for crossing in code.crossings))
+
+
+def test_component_count_matches_reference():
+    rng = Random(2026)
+    for regions in range(1, 8):
+        for _ in range(30):
+            twists = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(regions)]
+            code = pretzel_diagram(twists)
+            expected = _reference_component_count(code)
+            assert component_count(code) == expected, twists
+            relabeled = _relabeled(code, rng)
+            assert component_count(relabeled) == expected, twists
+            assert _reference_component_count(relabeled) == expected, twists
+
+
+MALFORMED = [
+    ("label 0", ((0, 1, 1, 2), (2, 3, 3, 4)), "arc 0 is outside the labels 1..4"),
+    ("label above 2n", ((1, 2, 3, 4), (4, 3, 2, 5)), "arc 5 is outside the labels 1..4"),
+    ("label used three times", ((1, 1, 2, 2), (1, 3, 3, 4)),
+     "arc 1 appears 3 times, expected exactly 2"),
+    ("missing label", ((1, 1, 2, 2), (3, 3, 2, 2)), "arc 2 appears 4 times, expected exactly 2"),
+    ("label used 400 times", ((1, 1, 1, 1),) * 100, "arc 1 appears 400 times, expected exactly 2"),
+    ("three slots", ((1, 1, 2), (2, 3, 3, 4, 4)), "crossing 0 has 3 slots, expected 4"),
+]
+
+
+@pytest.mark.parametrize("crossings,message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_labels_rejected(crossings, message):
+    with pytest.raises(InvalidPDCodeError) as info:
+        component_count(PDCode(crossings))
+    assert str(info.value) == message
+
+
+def test_empty_code_has_no_components():
+    assert component_count(PDCode(())) == 0
+
+
+def test_component_count_memory_is_below_the_diagram():
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = pretzel_diagram([-2, 3, 100001])
+        diagram = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert component_count(code) == 1
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * diagram, (peak, diagram)
+
+
+def test_crossing_budget():
+    assert diagram_twists((-2, 3, MAX_CROSSINGS - 5)) == [-2, 3, MAX_CROSSINGS - 5]
+    with pytest.raises(InvalidParameterError) as info:
+        diagram_twists((-2, 3, MAX_CROSSINGS - 4))
+    assert str(info.value) == (f"the diagram would have {MAX_CROSSINGS + 1} crossings, "
+                               f"more than the limit of {MAX_CROSSINGS}")
+    with pytest.raises(InvalidParameterError):
+        pretzel_diagram([10 ** 30])
+    # a zero twist is reported before the size
+    with pytest.raises(DegenerateTangleError):
+        pretzel_diagram([0, 1, 10 ** 30])

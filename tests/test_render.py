@@ -4,6 +4,8 @@ The command line renders reports and scan rows from hand-written
 templates and streams a range report by report.  Here the expected
 output is built independently: dicts assembled from
 representativity_bounds and scan_assignments, encoded by json.dumps.
+The trace and lemma outputs are checked against their first rendering:
+the diagram as a list of lists, and one print per text line.
 """
 
 import io
@@ -17,13 +19,16 @@ import pytest
 from pretzelrep import (
     DegenerateTangleError,
     PretzelTriple,
+    enumerate_solutions,
     is_large_algebraic,
     normalize_pretzel,
     parse_expr,
+    pretzel_diagram,
     representativity_bounds,
     run,
     scan_assignments,
 )
+from pretzelrep.linktrace import knot_components
 
 
 def run_cli(args, out=None):
@@ -198,3 +203,44 @@ def test_range_matches_single_classify():
     for triple, report in zip(knots, reports, strict=True):
         single = run_cli(["classify", "P({},{},{})".format(*triple), "--json"])
         assert report == json.loads(single), triple
+
+
+def old_trace(entries, as_json: bool) -> str:
+    pd = [list(crossing) for crossing in pretzel_diagram(entries).crossings]
+    components = knot_components(entries)
+    if as_json:
+        return dumps({"twists": list(entries), "crossings": len(pd),
+                      "components": components, "pd": pd})
+    out = io.StringIO()
+    print(f"crossings: {len(pd)}", file=out)
+    print(f"components: {components}", file=out)
+    print(f"pd: {json.dumps(pd, separators=(',', ':'))}", file=out)
+    return out.getvalue()
+
+
+def trace_triples(seed: int, count: int):
+    rng = Random(seed)
+    return [tuple(rng.choice([-1, 1]) * rng.randint(1, 30) for _ in range(3))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_trace_matches_list_rendering(flags):
+    for entries in [(-2, 3, 3), (1, 1, 1), (2, 4, 6), *trace_triples(11, 40)]:
+        text = "P({},{},{})".format(*entries)
+        assert run_cli(["trace", text, *flags]) == old_trace(entries, bool(flags)), entries
+
+
+def test_lemma_text_matches_print_per_line():
+    for max_c in range(2, 401):
+        out = io.StringIO()
+        for s in enumerate_solutions(max_c):
+            print(f"{s.a} {s.b} {s.c} | k={s.k} l={s.l} d={s.d}", file=out)
+        assert run_cli(["lemma", "--max", str(max_c)]) == out.getvalue(), max_c
+
+
+@pytest.mark.parametrize("max_c", [2, 3, 6, 15, 61, 128, 299, 400])
+def test_lemma_json_matches_json_dumps(max_c):
+    expected = dumps([{"a": s.a, "b": s.b, "c": s.c, "k": s.k, "l": s.l, "d": s.d}
+                      for s in enumerate_solutions(max_c)])
+    assert run_cli(["lemma", "--max", str(max_c), "--json"]) == expected
