@@ -8,7 +8,6 @@ command line entry point.
 """
 
 from .errors import (
-    DegenerateSlopeError,
     DegenerateTangleError,
     DomainError,
     InvalidParameterError,
@@ -21,6 +20,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .tanglecalc import (
+    MAX_DIGITS,
     MAX_NESTING,
     Closure,
     Montesinos,
@@ -32,7 +32,6 @@ from .tanglecalc import (
     is_large_algebraic,
     normalize_pretzel,
     parse_expr,
-    pretzel_to_montesinos,
     print_expr,
 )
 from .linktrace import (
@@ -51,8 +50,6 @@ from .slopelemma import (
     enumerate_solutions,
     parametrize,
     slope_condition,
-    type_a_slope,
-    type_b_slope,
 )
 from .surfacescan import (
     TYPE_A,
@@ -70,7 +67,6 @@ from .repclassify import (
     AppliedRule,
     RepReport,
     TorusInfo,
-    bridge_upper,
     pretzel_form_knot,
     representativity_bounds,
     tangle_string_bound,

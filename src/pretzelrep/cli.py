@@ -39,6 +39,7 @@ from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
 from .surfacescan import SurfacePattern, scan_assignments, scannable_knot
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
+    MAX_DIGITS,
     Montesinos,
     Pretzel,
     PretzelTriple,
@@ -56,6 +57,8 @@ _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
 # largest lemma --max: about 5 s and 190 MB as text, 300 MB as JSON
 LEMMA_MAX = 200_000
+# widest classify --range box, e.g. -60:60: about 2 s as text, 14 s as JSON
+RANGE_MAX_WIDTH = 121
 
 
 class _UsageError(PretzelRepError):
@@ -170,12 +173,15 @@ def _range_bounds(spec: str) -> tuple[int, int]:
     m = _RANGE.fullmatch(spec)
     if m is None:
         raise _UsageError(f"--range expects A:B with integers, got {spec!r}")
-    try:
-        low, high = int(m.group(1)), int(m.group(2))
-    except ValueError:  # beyond the interpreter's int-string digit limit
-        raise _UsageError("--range bound has too many digits") from None
+    if any(len(bound.lstrip("-")) > MAX_DIGITS for bound in m.groups()):
+        raise _UsageError("--range bound has too many digits")
+    low, high = int(m.group(1)), int(m.group(2))
     if low > high:
         raise _UsageError(f"--range bounds are out of order: {spec}")
+    width = high - low + 1
+    if width > RANGE_MAX_WIDTH:
+        raise _UsageError(f"--range box is {width} values wide, "
+                          f"more than the limit of {RANGE_MAX_WIDTH}")
     return low, high
 
 
@@ -292,89 +298,11 @@ def _surface_rows(knot: PretzelKnot) -> list[SurfacePattern] | None:
 
 # --- JSON templates ---
 #
-# Each template is the text json.dumps(obj, indent=2) writes for one
-# object at nesting depth 0, with %-fields for its values; _at() shifts
-# it to the depth where the object sits.  Nested values arrive already
-# rendered at their own depth.  Key order follows docs/schemas/.
-
-_REPORT = """{
-  "input": %s,
-  "kind": "%s",
-  "normalized": %s,
-  "mirror": %s,
-  "is_knot": %s,
-  "large_algebraic": %s,
-  "bridge_upper": %s,
-  "torus": %s,
-  "lower": %d,
-  "upper": %d,
-  "exact": %s,
-  "rules": %s,
-  "surfaces": %s
-}"""
-
-_TORUS = """{
-  "params": %s
-}"""
-
-_RULE = """{
-  "name": %s,
-  "citation": %s,
-  "sets": %s,
-  "value": %s,
-  "conditional": %s
-}"""
-
-_SURFACES = """{
-  "input": %s,
-  "normalized": %s,
-  "mirror": %s,
-  "rows": %s
-}"""
-
-_ROW = """{
-  "types": "%s",
-  "slopes": [
-    %d,
-    %d,
-    %d
-  ],
-  "arcs": %s,
-  "sheets": %s,
-  "chi": %s,
-  "genus": %s,
-  "structural": %s,
-  "verdict": "%s",
-  "family": %s,
-  "reason": %s
-}"""
-
-_LEMMA_ROW = """{
-  "a": %d,
-  "b": %d,
-  "c": %d,
-  "k": %d,
-  "l": %d,
-  "d": %d
-}"""
-
-_TRACE = """{
-  "twists": %s,
-  "crossings": %d,
-  "components": %d,
-  "pd": %s
-}"""
-
-_CROSSING = """[
-  %d,
-  %d,
-  %d,
-  %d
-]"""
-
-# arcs, sheets, chi, genus and structural of a row that failed the
-# existence filters
-_UNMEASURED = ("null", "null", "null", "null", "false")
+# _object() builds, from a key list in docs/schemas/ order, the text
+# json.dumps(obj, indent=2) writes for one object at nesting depth 0,
+# with a %-field for each value; _at() shifts a template to the depth
+# where the object sits.  Nested values arrive already rendered at their
+# own depth.
 
 
 @cache
@@ -412,6 +340,31 @@ def _array(items: list[str], pad: str) -> str:
 
 def _ints(values, pad: str) -> str:
     return "null" if values is None else _array([str(v) for v in values], pad)
+
+
+def _object(keys: str, **values: str) -> str:
+    """Template of an object with the space-separated keys; a value is a
+    %s field unless values gives its own template, written at depth 1."""
+    fields = [f'"{key}": {values.get(key, "%s")}' for key in keys.split()]
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
+_TEXT = '"%s"'  # a value the render call passes as the bare string
+
+_REPORT = _object("input kind normalized mirror is_knot large_algebraic bridge_upper "
+                  "torus lower upper exact rules surfaces", kind=_TEXT)
+_TORUS = _object("params")
+_RULE = _object("name citation sets value conditional")
+_SURFACES = _object("input normalized mirror rows")
+_ROW = _object("types slopes arcs sheets chi genus structural verdict family reason",
+               types=_TEXT, slopes=_array(["%d"] * 3, "  "), verdict=_TEXT)
+_LEMMA_ROW = _object("a b c k l d")
+_TRACE = _object("twists crossings components pd")
+_CROSSING = _array(["%d"] * 4, "")
+
+# arcs, sheets, chi, genus and structural of a row that failed the
+# existence filters
+_UNMEASURED = ("null", "null", "null", "null", "false")
 
 
 @cache
@@ -540,20 +493,29 @@ def _cmd_lemma(args, out) -> None:
 # --- trace ---
 
 
+# trace --json writes its crossings this many at a time, under 600 KB
+_CROSSINGS_PER_WRITE = 8192
+
+
 def _cmd_trace(args, out) -> None:
     twists = diagram_twists(_parse_pretzel_argument(args.expr, "trace").entries())
     code = pretzel_diagram(twists)
     components = component_count(code)
     crossings = code.crossings
-    if args.json:
-        crossing = _at(_CROSSING, "    ")
-        text = _TRACE % (_ints(twists, "  "), len(crossings), components,
-                         _array([crossing % c for c in crossings], "  ")) + "\n"
-    else:
+    if not args.json:
         # json encodes the crossing tuples as it would lists
-        text = (f"crossings: {len(crossings)}\ncomponents: {components}\n"
-                f"pd: {json.dumps(crossings, separators=(',', ':'))}\n")
-    out.write(text)
+        out.write(f"crossings: {len(crossings)}\ncomponents: {components}\n"
+                  f"pd: {json.dumps(crossings, separators=(',', ':'))}\n")
+        return
+    # the pd array, never empty, closes the object; its items go where %s is
+    head, tail = (_TRACE % (_ints(twists, "  "), len(crossings), components,
+                            _array(["%s"], "  "))).split("%s")
+    crossing, lead = _at(_CROSSING, "    "), head
+    for start in range(0, len(crossings), _CROSSINGS_PER_WRITE):
+        chunk = crossings[start:start + _CROSSINGS_PER_WRITE]
+        out.write(lead + ",\n    ".join([crossing % c for c in chunk]))
+        lead = ",\n    "
+    out.write(tail + "\n")
 
 
 # --- parse ---
@@ -562,9 +524,9 @@ def _cmd_trace(args, out) -> None:
 def _cmd_parse(args, out) -> None:
     expression = parse_expr(args.expr)
     if args.json:
-        _emit_json({"input": args.expr,
-                    "printed": print_expr(expression),
-                    "tree": _tree_json(expression)}, out)
+        print(json.dumps({"input": args.expr,
+                          "printed": print_expr(expression),
+                          "tree": _tree_json(expression)}, indent=2), file=out)
     else:
         print(print_expr(expression), file=out)
 
@@ -581,10 +543,6 @@ def _tree_json(expression: TangleExpr) -> dict:
     if isinstance(expression, Montesinos):
         return {"kind": "montesinos", "slopes": [str(f) for f in expression.slopes]}
     return {"kind": "closure", "inner": _tree_json(expression.inner)}
-
-
-def _emit_json(obj, out) -> None:
-    print(json.dumps(obj, indent=2), file=out)
 
 
 if __name__ == "__main__":

@@ -29,10 +29,6 @@ class DegenerateTangleError(DomainError):
     """A twist parameter is zero, or too small for the requested analysis."""
 
 
-class DegenerateSlopeError(DomainError):
-    """A boundary slope is undefined for the given twist count."""
-
-
 class NotAKnotError(DomainError):
     """The diagram traces out more than one link component."""
 

@@ -30,7 +30,7 @@ from .tanglecalc import PretzelTriple, normalize_pretzel
 __all__ = ["MAX_CROSSINGS", "PDCode", "PretzelKnot", "diagram_twists", "pretzel_diagram",
            "component_count", "is_knot", "knot_components", "pretzel_knot"]
 
-# trace at this size: about 6 s and 465 MB as text, 830 MB as JSON
+# trace at this size: about 6 s and 465 MB, as text or JSON
 MAX_CROSSINGS = 2_000_000
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "AppliedRule",
     "TorusInfo",
     "RepReport",
-    "bridge_upper",
     "torus_pretzel",
     "tangle_string_bound",
     "pretzel_form_knot",
@@ -134,17 +133,6 @@ _TORUS = {
 }
 
 
-def _has_unit_twist(entries: tuple[int, int, int]) -> bool:
-    return 1 in entries or -1 in entries
-
-
-def bridge_upper(triple: PretzelTriple) -> int:
-    """Bridge number bound from the pretzel diagram: 3 in general, 2
-    once a twist parameter of absolute value 1 makes the knot a
-    connected sum of torus knots, a torus knot, or a 2-bridge knot."""
-    return 2 if _has_unit_twist(pretzel_knot(triple).entries) else 3
-
-
 def torus_pretzel(triple: PretzelTriple) -> TorusInfo | None:
     """Torus knot data for the few pretzel triples that are torus knots."""
     entries = triple.entries()
@@ -204,7 +192,7 @@ def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
 
 def _classify_pretzel(knot: PretzelKnot) -> RepReport:
     lower, upper, exact, bridge = 1, 2, None, 3
-    if _has_unit_twist(knot.entries):
+    if 1 in knot.entries or -1 in knot.entries:
         rules, bridge = _SMALL_TWIST_RULES, 2
     elif knot.canonical in _EXACTLY_THREE:
         rules, lower, upper, exact = _EXACTLY_THREE_RULES, 3, 3, 3

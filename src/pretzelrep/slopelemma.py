@@ -1,4 +1,4 @@
-"""The reciprocal-sum lemma and the two tangle boundary slope families.
+"""The reciprocal-sum lemma and the boundary slope conditions.
 
 Solutions of -1/a + 1/b + 1/c = 0 in integers 1 <= a < b <= c are
 exactly the triples
@@ -21,12 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 
-from .errors import (
-    DegenerateSlopeError,
-    DegenerateTangleError,
-    InvalidParameterError,
-    InvariantError,
-)
+from .errors import InvalidParameterError, InvariantError
 
 __all__ = [
     "SlopeCondition",
@@ -34,8 +29,6 @@ __all__ = [
     "parametrize",
     "enumerate_solutions",
     "brute_force_solutions",
-    "type_a_slope",
-    "type_b_slope",
     "slope_condition",
 ]
 
@@ -116,22 +109,6 @@ def brute_force_solutions(max_c: int) -> list[tuple[int, int, int]]:
             if b <= c <= max_c:
                 solutions.append((a, b, c))
     return solutions
-
-
-def type_a_slope(m: int) -> Fraction:
-    """Boundary slope 1/m of the parallel-disk family in an m-twist region."""
-    if m == 0:
-        raise DegenerateTangleError("twist count zero has no boundary slope")
-    return Fraction(1, m)
-
-
-def type_b_slope(m: int) -> Fraction:
-    """Boundary slope 1/(m+1) of the single-disk family in an m-twist region."""
-    if m == 0:
-        raise DegenerateTangleError("twist count zero has no boundary slope")
-    if m == -1:
-        raise DegenerateSlopeError("slope 1/(m+1) is undefined for m = -1")
-    return Fraction(1, m + 1)
 
 
 def slope_condition(m: int, boundary: Fraction) -> SlopeCondition:

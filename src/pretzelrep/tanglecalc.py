@@ -16,7 +16,8 @@ emits the canonical spelling (no spaces, parentheses only where the tree
 shape requires them) and parse_expr(print_expr(e)) == e for every tree.
 
 The parser rejects input nesting deeper than MAX_NESTING parentheses
-plus Sum nodes on a path from the root.
+plus Sum nodes on a path from the root, and integer literals of more
+than MAX_DIGITS digits.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DegenerateTangleError, ParseError, ShapeError
+from .errors import ParseError, ShapeError
 
 __all__ = [
     "RationalTangle",
@@ -37,10 +38,10 @@ __all__ = [
     "Closure",
     "TangleExpr",
     "MAX_NESTING",
+    "MAX_DIGITS",
     "parse_expr",
     "print_expr",
     "normalize_pretzel",
-    "pretzel_to_montesinos",
     "is_large_algebraic",
 ]
 
@@ -106,6 +107,11 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 MAX_NESTING = 200
 _TOO_DEEP = f"expression nests deeper than {MAX_NESTING} levels of parentheses and sums"
 
+# One below the interpreter's default int-string limit of 4300 digits, so
+# every number derived from a literal (m + 1, a sum of three twists) still
+# prints.
+MAX_DIGITS = 4299
+
 
 class _Parser:
     """Single-pass recursive descent over the expression text."""
@@ -139,13 +145,11 @@ class _Parser:
         if m is None:
             found = self.peek() or "end of input"
             raise ParseError(f"expected an integer, found {found!r}", self.pos)
-        try:
-            value = int(m.group())
-        except ValueError:  # beyond the interpreter's int-string digit limit
+        if len(m.group().lstrip("+-")) > MAX_DIGITS:
             raise ParseError(f"integer literal of {len(m.group())} characters is too long",
-                             self.pos) from None
+                             self.pos)
         self.pos = m.end()
-        return value
+        return int(m.group())
 
     # --- grammar rules ---
     #
@@ -284,15 +288,6 @@ def normalize_pretzel(triple: PretzelTriple) -> tuple[PretzelTriple, bool]:
     if mirrored > plain:
         return PretzelTriple(*mirrored), True
     return PretzelTriple(*plain), False
-
-
-def pretzel_to_montesinos(triple: PretzelTriple) -> Montesinos:
-    """View P(p,q,r) as the Montesinos form M(1/p,1/q,1/r)."""
-    if 0 in triple.entries():
-        raise DegenerateTangleError(
-            f"zero twist parameter in {triple.entries()}"
-        )
-    return Montesinos(tuple(Fraction(1, e) for e in triple.entries()))
 
 
 def is_large_algebraic(expression: TangleExpr) -> bool:

@@ -151,6 +151,29 @@ def test_oversized_literals_exit_1():
     assert code == 1 and out == "" and "too long (at position 0)" in err
     code, out, err = run_cli(["classify", "--range", "1" + "0" * 5000 + ":2"])
     assert code == 1 and out == "" and "too many digits" in err
+    # one digit over the limit: the literal would convert, but N + 1 or a
+    # crossing count derived from it could not be printed
+    n = "9" * 4300
+    for args, position in [
+        (["surfaces", f"P(-2,3,{n})"], 7),
+        (["surfaces", f"P(-2,3,{n})", "--json"], 7),
+        (["surfaces", f"P(-2,3,{n})", "--csv"], 7),
+        (["classify", f"P(-2,3,{n})", "--json"], 7),
+        (["classify", f"M(1/-3,1/5,1/{n})", "--json"], 13),
+        (["trace", f"P(-2,3,{n})"], 7),
+    ]:
+        assert run_cli(args) == (
+            1, "", f"error: integer literal of 4300 characters is too long (at position {position})\n")
+    assert run_cli(["classify", "--range", f"{n}:{n}", "--json"]) == (
+        1, "", "error: --range bound has too many digits\n")
+    # at the limit every command answers
+    n = "9" * 4299
+    code, out, err = run_cli(["surfaces", f"P(-2,3,{n})", "--json"])
+    assert code == 0 and err == "" and json.loads(out)["rows"][0]["slopes"][2] == int(n)
+    code, out, err = run_cli(["classify", f"M(1/-3,1/5,1/{n})", "--json"])
+    assert code == 0 and err == "" and json.loads(out)["normalized"] == [-3, 5, int(n)]
+    code, out, err = run_cli(["trace", f"P(-2,3,{n})"])
+    assert code == 2 and out == "" and err.endswith(" crossings, more than the limit of 2000000\n")
 
 
 def test_closed_pipe_exits_1_without_traceback():
@@ -232,6 +255,24 @@ def test_lemma_above_the_budget_exits_1_at_once(monkeypatch, max_c):
 def test_lemma_budget_admits_its_limit(monkeypatch):
     monkeypatch.setattr(pretzelrep.cli, "enumerate_solutions", lambda max_c: [])
     assert run_cli(["lemma", "--max", "200000"]) == (0, "", "")
+
+
+@pytest.mark.parametrize("spec,width", [("-60:61", 122), ("1:1000000000000", 10**12)],
+                         ids=["122", "1e12"])
+def test_range_above_the_budget_exits_1_at_once(monkeypatch, spec, width):
+    def refuse(knot):
+        raise AssertionError(f"{knot} was classified")
+
+    monkeypatch.setattr(pretzelrep.cli, "representativity_bounds", refuse)
+    for flag in ([], ["--json"]):
+        assert run_cli(["classify", "--range", spec, *flag]) == (
+            1, "", f"error: --range box is {width} values wide, more than the limit of 121\n")
+
+
+def test_range_budget_admits_its_limit(monkeypatch):
+    monkeypatch.setattr(pretzelrep.cli, "_knot_triples", lambda low, high: iter(()))
+    assert run_cli(["classify", "--range", "-60:60"]) == (0, "", "")
+    assert run_cli(["classify", "--range", "-60:60", "--json"]) == (0, "[]\n", "")
 
 
 DEEP_PARENS = "(" * 2000 + "1/2" + ")" * 2000

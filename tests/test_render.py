@@ -231,6 +231,17 @@ def test_trace_matches_list_rendering(flags):
         assert run_cli(["trace", text, *flags]) == old_trace(entries, bool(flags)), entries
 
 
+def test_trace_json_is_written_in_bounded_chunks():
+    # 16,384 crossings fill two writes exactly; 30,002 (1.9 MB of JSON)
+    # end in a partial one
+    for entries in [(-2, 3, 16379), (-2, 3, 29997)]:
+        out = Chunks()
+        run_cli(["trace", "P({},{},{})".format(*entries), "--json"], out)
+        assert len(out.chunks) > 2
+        assert max(len(c) for c in out.chunks) <= 600_000
+        assert "".join(out.chunks) == old_trace(entries, True), entries
+
+
 def test_lemma_text_matches_print_per_line():
     for max_c in range(2, 401):
         out = io.StringIO()

@@ -11,7 +11,6 @@ from pretzelrep import (
     RepReport,
     TorusInfo,
     UnsupportedInputError,
-    bridge_upper,
     parse_expr,
     representativity_bounds,
     tangle_string_bound,
@@ -22,17 +21,6 @@ from pretzelrep.linktrace import knot_components
 
 def _bounds(text) -> RepReport:
     return representativity_bounds(parse_expr(text))
-
-
-def test_bridge_upper():
-    assert bridge_upper(PretzelTriple(-2, 3, 5)) == 3
-    assert bridge_upper(PretzelTriple(-3, 5, 7)) == 3
-    assert bridge_upper(PretzelTriple(1, 1, 1)) == 2
-    assert bridge_upper(PretzelTriple(1, 3, 3)) == 2
-    with pytest.raises(NotAKnotError):
-        bridge_upper(PretzelTriple(2, 4, 6))
-    with pytest.raises(DegenerateTangleError):
-        bridge_upper(PretzelTriple(0, 3, 3))
 
 
 def test_torus_pretzel_lookup():
@@ -80,6 +68,12 @@ def test_degenerate_classification():
     names = [rule.name for rule in report.rules]
     assert names == ["bridge-number-bound", "small-twist-reduction",
                      "torus-knot-identification"]
+    for entries, bridge in [((-2, 3, 5), 3), ((-3, 5, 7), 3), ((1, 1, 1), 2), ((1, 3, 3), 2)]:
+        assert representativity_bounds(Pretzel(PretzelTriple(*entries))).bridge_upper == bridge
+    with pytest.raises(NotAKnotError):
+        representativity_bounds(Pretzel(PretzelTriple(2, 4, 6)))
+    with pytest.raises(DegenerateTangleError):
+        representativity_bounds(Pretzel(PretzelTriple(0, 3, 3)))
 
 
 def test_montesinos_input():

@@ -4,8 +4,6 @@ from math import gcd, isqrt
 import pytest
 
 from pretzelrep import (
-    DegenerateSlopeError,
-    DegenerateTangleError,
     InvalidParameterError,
     LemmaSolution,
     SlopeCondition,
@@ -13,8 +11,6 @@ from pretzelrep import (
     enumerate_solutions,
     parametrize,
     slope_condition,
-    type_a_slope,
-    type_b_slope,
 )
 from pretzelrep.errors import InvariantError
 
@@ -103,19 +99,6 @@ def test_every_solution_has_unique_parameters():
             assert len(matches) >= 1, (a, b, c)
 
 
-def test_type_slopes():
-    assert type_a_slope(3) == Fraction(1, 3)
-    assert type_a_slope(-2) == Fraction(-1, 2)
-    assert type_b_slope(3) == Fraction(1, 4)
-    assert type_b_slope(-3) == Fraction(-1, 2)
-    with pytest.raises(DegenerateTangleError):
-        type_a_slope(0)
-    with pytest.raises(DegenerateTangleError):
-        type_b_slope(0)
-    with pytest.raises(DegenerateSlopeError):
-        type_b_slope(-1)
-
-
 def test_slope_condition_reference_values():
     # boundary fractions of the two survivor surfaces at a 3-twist region
     assert slope_condition(3, Fraction(3, 10)) == SlopeCondition.CONDITION_I
@@ -132,4 +115,4 @@ def test_condition_two_needs_numerator_above_one():
 
 def test_single_disk_slope_satisfies_condition_one():
     for m in range(1, 201):
-        assert slope_condition(m, type_b_slope(m)) == SlopeCondition.CONDITION_I
+        assert slope_condition(m, Fraction(1, m + 1)) == SlopeCondition.CONDITION_I

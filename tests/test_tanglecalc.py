@@ -7,9 +7,9 @@ import pytest
 
 from conftest import random_expr
 from pretzelrep import (
+    MAX_DIGITS,
     MAX_NESTING,
     Closure,
-    DegenerateTangleError,
     Montesinos,
     ParseError,
     Pretzel,
@@ -20,7 +20,6 @@ from pretzelrep import (
     is_large_algebraic,
     normalize_pretzel,
     parse_expr,
-    pretzel_to_montesinos,
     print_expr,
     run,
 )
@@ -116,6 +115,11 @@ def test_parse_rejects_oversized_literal():
         parse_expr("1/" + "9" * 5000)
     assert info.value.position == 2
     assert "too long" in str(info.value)
+    # the sign is not a digit
+    assert parse_expr("-" + "9" * MAX_DIGITS) == RationalTangle(Fraction(1 - 10**MAX_DIGITS))
+    with pytest.raises(ParseError) as info:
+        parse_expr("P(2,3," + "9" * (MAX_DIGITS + 1) + ")")
+    assert info.value.position == 6
 
 
 def test_print_examples():
@@ -165,14 +169,6 @@ def test_normalize_mirror_pairs():
         other, other_mirror = normalize_pretzel(triple.mirrored())
         assert other == canonical
         assert other_mirror is not mirror
-
-
-def test_pretzel_to_montesinos():
-    assert pretzel_to_montesinos(PretzelTriple(-2, 3, 5)) == Montesinos(
-        (Fraction(-1, 2), Fraction(1, 3), Fraction(1, 5))
-    )
-    with pytest.raises(DegenerateTangleError):
-        pretzel_to_montesinos(PretzelTriple(-2, 0, 5))
 
 
 def test_is_large_algebraic_examples():
