@@ -30,6 +30,7 @@ from .tanglecalc import (
     Sum,
     TangleExpr,
     is_large_algebraic,
+    max_digits,
     normalize_pretzel,
     parse_expr,
     print_expr,
@@ -58,6 +59,7 @@ from .surfacescan import (
     Verdict,
     enumerate_patterns,
     euler_characteristic,
+    existence_verdicts,
     final_filter,
     genus,
     scan_assignments,

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from csv import writer as csv_writer
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import IO
 
 from .errors import (
@@ -36,10 +37,10 @@ from .linktrace import (
     pretzel_knot,
 )
 from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
-from .surfacescan import SurfacePattern, scan_assignments, scannable_knot
+from .surfacescan import (TYPE_B, TYPINGS, SurfacePattern, Verdict, existence_verdicts,
+                          scan_assignments, scannable_knot)
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
-    MAX_DIGITS,
     Montesinos,
     Pretzel,
     PretzelTriple,
@@ -47,6 +48,7 @@ from .tanglecalc import (
     Sum,
     TangleExpr,
     is_large_algebraic,
+    max_digits,
     parse_expr,
     print_expr,
 )
@@ -57,7 +59,7 @@ _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
 # largest lemma --max: about 5 s and 190 MB as text, 300 MB as JSON
 LEMMA_MAX = 200_000
-# widest classify --range box, e.g. -60:60: about 2 s as text, 14 s as JSON
+# widest classify --range box, e.g. -60:60: about 1 s as text, 4 s as JSON
 RANGE_MAX_WIDTH = 121
 
 
@@ -173,7 +175,7 @@ def _range_bounds(spec: str) -> tuple[int, int]:
     m = _RANGE.fullmatch(spec)
     if m is None:
         raise _UsageError(f"--range expects A:B with integers, got {spec!r}")
-    if any(len(bound.lstrip("-")) > MAX_DIGITS for bound in m.groups()):
+    if any(len(bound.lstrip("-")) > max_digits() for bound in m.groups()):
         raise _UsageError("--range bound has too many digits")
     low, high = int(m.group(1)), int(m.group(2))
     if low > high:
@@ -357,7 +359,7 @@ _TORUS = _object("params")
 _RULE = _object("name citation sets value conditional")
 _SURFACES = _object("input normalized mirror rows")
 _ROW = _object("types slopes arcs sheets chi genus structural verdict family reason",
-               types=_TEXT, slopes=_array(["%d"] * 3, "  "), verdict=_TEXT)
+               types=_TEXT, slopes=_array(["%s"] * 3, "  "), verdict=_TEXT)
 _LEMMA_ROW = _object("a b c k l d")
 _TRACE = _object("twists crossings components pd")
 _CROSSING = _array(["%d"] * 4, "")
@@ -365,6 +367,9 @@ _CROSSING = _array(["%d"] * 4, "")
 # arcs, sheets, chi, genus and structural of a row that failed the
 # existence filters
 _UNMEASURED = ("null", "null", "null", "null", "false")
+# where each slope of the eight rows sits in (p, q, r, p + 1, q + 1, r + 1)
+_SLOPE_FIELDS = itemgetter(*[i + 3 * (ty == TYPE_B) for types in TYPINGS
+                             for i, ty in enumerate(types)])
 
 
 @cache
@@ -385,9 +390,7 @@ def _report_json(input_text: str, expression: TangleExpr | None,
         kind = "montesinos" if isinstance(expression, Montesinos) else "pretzel"
         # normalized, mirror, is_knot, large_algebraic
         fields = (_ints(knot.canonical, inner), _scalar(knot.mirror), "true", "null")
-        rows = _surface_rows(knot)
-        surfaces = "null" if rows is None else _array(
-            [_row_json(row, inner + "  ") for row in rows], inner)
+        surfaces = _surfaces_json(knot, inner)
     else:
         kind = "closure"
         fields = ("null", "null", "null", _scalar(is_large_algebraic(expression)))
@@ -405,12 +408,12 @@ def _report_json(input_text: str, expression: TangleExpr | None,
 
 def _cmd_surfaces(args, out) -> None:
     knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
-    rows = scan_assignments(knot)
     if args.json:
-        out.write(_SURFACES % (
-            _quote(args.expr), _ints(knot.canonical, "  "), _scalar(knot.mirror),
-            _array([_row_json(row, "    ") for row in rows], "  ")) + "\n")
-    elif args.csv:
+        out.write(_SURFACES % (_quote(args.expr), _ints(knot.canonical, "  "),
+                               _scalar(knot.mirror), _surfaces_json(knot, "  ")) + "\n")
+        return
+    rows = scan_assignments(knot)
+    if args.csv:
         table = csv_writer(out, lineterminator="\n")
         table.writerow(["types", "slope_1", "slope_2", "slope_3", "arcs",
                         "sheet_1", "sheet_2", "sheet_3", "chi", "genus",
@@ -458,6 +461,29 @@ def _row_csv(row: SurfacePattern) -> list:
             "true" if row.structural else "false",
             "accepted" if row.verdict.accepted else "rejected",
             opt(row.verdict.family), opt(row.verdict.reason)]
+
+
+def _surfaces_json(knot: PretzelKnot, pad: str) -> str:
+    """The scan rows of a knot as a JSON array, its opening bracket at
+    indent pad; null for a unit twist."""
+    try:
+        verdicts = existence_verdicts(knot.canonical)
+    except DegenerateTangleError:
+        return "null"
+    if None in verdicts:
+        return _array([_row_json(row, pad + "  ") for row in scan_assignments(knot)], pad)
+    a, b, c = knot.canonical
+    return _rejected_rows(verdicts, pad) % _SLOPE_FIELDS((a, b, c, a + 1, b + 1, c + 1))
+
+
+@cache
+def _rejected_rows(verdicts: tuple[Verdict, ...], pad: str) -> str:
+    """The array of eight rows that failed the existence filters, with a
+    %d field for each slope; a few distinct blocks cover every range."""
+    row = _at(_ROW, pad + "  ")
+    return _array([row % ("".join(types), "%d", "%d", "%d", *_UNMEASURED, "rejected",
+                          _constant(v.family), _constant(v.reason))
+                   for types, v in zip(TYPINGS, verdicts)], pad)
 
 
 def _row_json(row: SurfacePattern, pad: str) -> str:

@@ -37,6 +37,8 @@ __all__ = [
     "TYPE_B",
     "Verdict",
     "SurfacePattern",
+    "TYPINGS",
+    "existence_verdicts",
     "enumerate_patterns",
     "scan_assignments",
     "scannable_knot",
@@ -47,6 +49,8 @@ __all__ = [
 
 TYPE_A = "A"
 TYPE_B = "B"
+# the eight type assignments, in scan order
+TYPINGS = tuple(product((TYPE_A, TYPE_B), repeat=3))
 
 
 @dataclass(frozen=True)
@@ -88,6 +92,7 @@ _RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 _DENOMINATOR = Verdict(False, "common denominator exceeds the largest boundary slope")
 _SINGLE_DISK = Verdict(False, "single-disk region must meet the surface in one sheet")
 _PARALLEL_DISKS = Verdict(False, "parallel-disk region needs at least two sheets")
+_ALL_SIGN_PATTERN = (_SIGN_PATTERN,) * len(TYPINGS)
 
 
 def scannable_knot(triple: PretzelTriple | PretzelKnot) -> PretzelKnot:
@@ -118,6 +123,22 @@ def _structural_reason(types, slopes) -> Verdict | None:
         if ty == TYPE_A and sheet < 2:
             return _PARALLEL_DISKS
     return None
+
+
+def existence_verdicts(canonical: tuple[int, int, int]) -> tuple[Verdict | None, ...]:
+    """The existence-filter verdict of each typing of a canonical triple
+    with no unit twist, in scan order; None for a structural row.
+
+    As every |m| >= 2, m + 1 has the sign of m: a triple without exactly
+    one negative entry fails the sign pattern in every row.
+    """
+    if 1 in canonical or -1 in canonical:
+        raise DegenerateTangleError(f"unit twist in {canonical}")
+    if sum(m < 0 for m in canonical) != 1:
+        return _ALL_SIGN_PATTERN
+    return tuple(_structural_reason(types, tuple(m if ty == TYPE_A else m + 1
+                                                 for ty, m in zip(types, canonical)))
+                 for types in TYPINGS)
 
 
 def scan_assignments(triple: PretzelTriple | PretzelKnot) -> list[SurfacePattern]:

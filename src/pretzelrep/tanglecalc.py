@@ -17,12 +17,13 @@ shape requires them) and parse_expr(print_expr(e)) == e for every tree.
 
 The parser rejects input nesting deeper than MAX_NESTING parentheses
 plus Sum nodes on a path from the root, and integer literals of more
-than MAX_DIGITS digits.
+than max_digits() digits.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -39,6 +40,7 @@ __all__ = [
     "TangleExpr",
     "MAX_NESTING",
     "MAX_DIGITS",
+    "max_digits",
     "parse_expr",
     "print_expr",
     "normalize_pretzel",
@@ -107,10 +109,16 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 MAX_NESTING = 200
 _TOO_DEEP = f"expression nests deeper than {MAX_NESTING} levels of parentheses and sums"
 
-# One below the interpreter's default int-string limit of 4300 digits, so
-# every number derived from a literal (m + 1, a sum of three twists) still
-# prints.
+# one below the interpreter's default int-string limit of 4300 digits
 MAX_DIGITS = 4299
+
+
+def max_digits() -> int:
+    """The most digits a literal may have: one below the interpreter's
+    int-string limit as set now (0 is none), at most MAX_DIGITS, so every
+    number derived from a literal (m + 1, a sum of three twists) prints."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return min(limit - 1, MAX_DIGITS) if limit else MAX_DIGITS
 
 
 class _Parser:
@@ -145,7 +153,7 @@ class _Parser:
         if m is None:
             found = self.peek() or "end of input"
             raise ParseError(f"expected an integer, found {found!r}", self.pos)
-        if len(m.group().lstrip("+-")) > MAX_DIGITS:
+        if len(m.group().lstrip("+-")) > max_digits():
             raise ParseError(f"integer literal of {len(m.group())} characters is too long",
                              self.pos)
         self.pos = m.end()

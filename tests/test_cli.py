@@ -18,7 +18,7 @@ import jsonschema
 import pytest
 
 import pretzelrep
-from pretzelrep import run
+from pretzelrep import MAX_DIGITS, max_digits, run
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -176,19 +176,59 @@ def test_oversized_literals_exit_1():
     assert code == 2 and out == "" and err.endswith(" crossings, more than the limit of 2000000\n")
 
 
-def test_closed_pipe_exits_1_without_traceback():
+def child_env(**extra):
+    """The environment of a child interpreter that imports this pretzelrep."""
     src = Path(pretzelrep.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_closed_pipe_exits_1_without_traceback():
     # several MB of output, far more than a pipe buffers
     child = subprocess.Popen(
         [sys.executable, "-m", "pretzelrep", "classify", "--range", "-12:12", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
     assert child.stdout.read(100).startswith(b"[\n  {")
     child.stdout.close()
     _, err = child.communicate(timeout=60)
     assert b"Traceback" not in err
     assert err == b"" and child.returncode == 1
+
+
+needs_int_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                     reason="this Python has no int-string limit")
+
+
+@needs_int_limit
+@pytest.mark.parametrize("args,message", [
+    (["parse", "9" * 1000], "integer literal of 1000 characters is too long (at position 0)"),
+    (["surfaces", f"P(-2,3,{'9' * 640})"],
+     "integer literal of 640 characters is too long (at position 7)"),
+], ids=["parse", "surfaces"])
+def test_lowered_int_string_limit_exits_1(args, message):
+    # at the lowest limit the interpreter allows, m + 1 of a 640-digit
+    # literal would have 641 digits, one more than can be printed
+    child = subprocess.run([sys.executable, "-m", "pretzelrep", *args], capture_output=True,
+                           text=True, env=child_env(PYTHONINTMAXSTRDIGITS="640"), timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (1, "", f"error: {message}\n")
+
+
+@needs_int_limit
+def test_literal_cap_follows_the_limit_as_set_now():
+    n = "9" * 999
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        assert max_digits() == 999
+        assert run_cli(["surfaces", f"P(-2,3,{n})", "--json"])[0] == 0
+        assert run_cli(["surfaces", f"P(-2,3,{n}9)", "--json"]) == (
+            1, "", "error: integer literal of 1000 characters is too long (at position 7)\n")
+        assert run_cli(["classify", "--range", f"{n}9:{n}9"]) == (
+            1, "", "error: --range bound has too many digits\n")
+        sys.set_int_max_str_digits(0)  # no limit: the package's own cap
+        assert max_digits() == MAX_DIGITS
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 # The messages of the domain errors a link, a zero twist or a unit twist

@@ -111,7 +111,8 @@ def random_boxes(seed: int, count: int):
         yield low, rng.randint(low, min(12, low + 12))
 
 
-BOXES = [(2, 2), (1, 1), (-3, 3), *random_boxes(2024, 6)]
+# -5:5 holds both survivors and every sign class of canonical triple
+BOXES = [(2, 2), (1, 1), (-3, 3), (-5, 5), *random_boxes(2024, 6)]
 
 
 @pytest.mark.parametrize("low,high", BOXES, ids=[f"{a}:{b}" for a, b in BOXES])
@@ -159,8 +160,12 @@ def test_closure_json_matches_json_dumps(text):
     assert run_cli(["classify", text, "--json"]) == dumps(report_obj(text, "closure", None))
 
 
-@pytest.mark.parametrize("triple", [t for t in TRIPLES if min(map(abs, t.entries())) > 1],
-                         ids=str)
+# P(3,5,7) and P(-3,5,7): every row fails the sign pattern, or the reciprocal sum
+SCANNABLE = [PretzelTriple(3, 5, 7), PretzelTriple(-3, 5, 7),
+             *(t for t in TRIPLES if min(map(abs, t.entries())) > 1)]
+
+
+@pytest.mark.parametrize("triple", SCANNABLE, ids=str)
 def test_surfaces_json_matches_json_dumps(triple):
     text = f"P( {triple.p}, {triple.q}, {triple.r} )"
     canonical, mirror = normalize_pretzel(triple)

@@ -12,12 +12,15 @@ from pretzelrep import (
     Verdict,
     enumerate_patterns,
     euler_characteristic,
+    existence_verdicts,
     final_filter,
     genus,
     normalize_pretzel,
+    pretzel_knot,
     scan_assignments,
 )
 from pretzelrep.linktrace import knot_components
+from pretzelrep.surfacescan import TYPINGS
 
 
 def _single_pattern(p, q, r):
@@ -225,3 +228,49 @@ def test_patterns_reconstruct_their_triple():
             assert pattern.chi == pattern.arcs * (Fraction(2, a) - 1)
             assert pattern.chi % 2 == 0
             assert genus(pattern) == pattern.genus_val
+
+
+SIGN_PATTERN = Verdict(False, "requires exactly one negative boundary slope")
+RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
+
+
+@pytest.mark.parametrize("entries,canonical,structural", [
+    ((3, 5, 7), (3, 5, 7), None),            # no negative entry
+    ((-3, 5, 7), (-3, 5, 7), ()),            # one
+    ((-3, -5, 7), (-5, -3, 7), None),        # two, kept unmirrored
+    ((-3, -5, -7), (3, 5, 7), None),         # three, mirrored to none
+    ((-2, 3, 3), (-2, 3, 3), (("A", "B", "B"),)),
+    ((3, -2, 5), (-2, 3, 5), (("A", "A", "B"),)),
+    ((-3, 5, 5), (-3, 5, 5), (("A", "B", "B"),)),  # structural, then rejected
+], ids=str)
+def test_existence_verdicts_by_sign_class(entries, canonical, structural):
+    knot = pretzel_knot(PretzelTriple(*entries))
+    assert knot.canonical == canonical
+    verdicts = existence_verdicts(canonical)
+    if structural is None:  # every slope triple fails the sign pattern
+        assert verdicts == (SIGN_PATTERN,) * 8
+    else:
+        assert verdicts == tuple(None if types in structural else RECIPROCAL_SUM
+                                 for types in TYPINGS)
+
+
+def test_existence_verdicts_reject_unit_twists():
+    with pytest.raises(DegenerateTangleError):
+        existence_verdicts((-1, 3, 5))
+    with pytest.raises(DegenerateTangleError):
+        existence_verdicts((1, 1, 1))
+
+
+def test_existence_verdicts_match_the_scan():
+    values = [v for v in range(-25, 26) if abs(v) >= 2]
+    checked = 0
+    for entries in combinations_with_replacement(values, 3):
+        if knot_components(entries) != 1:
+            continue
+        knot = pretzel_knot(PretzelTriple(*entries))
+        rows = scan_assignments(knot)
+        assert [row.tangle_types for row in rows] == list(TYPINGS)
+        expected = tuple(None if row.structural else row.verdict for row in rows)
+        assert existence_verdicts(knot.canonical) == expected, entries
+        checked += 1
+    assert checked == 9800
