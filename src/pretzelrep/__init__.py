@@ -29,6 +29,7 @@ from .tanglecalc import (
     RationalTangle,
     Sum,
     TangleExpr,
+    canonical_entries,
     is_large_algebraic,
     max_digits,
     normalize_pretzel,

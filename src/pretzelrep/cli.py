@@ -59,7 +59,7 @@ _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
 # largest lemma --max: about 5 s and 190 MB as text, 300 MB as JSON
 LEMMA_MAX = 200_000
-# widest classify --range box, e.g. -60:60: about 1 s as text, 4 s as JSON
+# widest classify --range box, e.g. -60:60: about 1.2 s as text, 4 s as JSON
 RANGE_MAX_WIDTH = 121
 
 
@@ -203,7 +203,7 @@ def _classify_range(spec: str, as_json: bool, out) -> None:
         lead, separator, close, empty = "", "\n", "\n", ""
     written = False
     for entries in _knot_triples(low, high):
-        knot = pretzel_knot(PretzelTriple(*entries))
+        knot = pretzel_knot(entries)
         text = "P(%d,%d,%d)" % entries
         out.write(lead + render(text, knot, representativity_bounds(knot)))
         lead, written = separator, True
@@ -224,19 +224,29 @@ def _knot_triples(low: int, high: int):
                     yield a, b, c
 
 
+# the text after P(a,b,c) per report, by identity: pretzel reports are constants
+_SUFFIXES: dict[int, tuple[RepReport, str]] = {}
+
+
 def _range_line(text: str, knot: PretzelKnot, report: RepReport) -> str:
+    seen = _SUFFIXES.get(id(report))
+    if seen is None or seen[0] is not report:
+        seen = _SUFFIXES[id(report)] = (report, _range_suffix(report))
+    return text + seen[1]
+
+
+def _range_suffix(report: RepReport) -> str:
     if report.exact is not None:
-        bounds = f"r={report.exact} exact"
+        suffix = f"  r={report.exact} exact"
     else:
-        bounds = f"r in [{report.lower},{report.upper}]"
-    line = f"{text}  {bounds}"
+        suffix = f"  r in [{report.lower},{report.upper}]"
     if report.torus is not None:
         if report.torus.params is not None:
             p, q = report.torus.params
-            line += f"  torus=({p},{q})"
+            suffix += f"  torus=({p},{q})"
         else:
-            line += "  torus=yes"
-    return line
+            suffix += "  torus=yes"
+    return suffix
 
 
 def _report_text(expression: TangleExpr, knot: PretzelKnot | None,

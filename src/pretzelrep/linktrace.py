@@ -25,7 +25,7 @@ from .errors import (
     InvalidPDCodeError,
     NotAKnotError,
 )
-from .tanglecalc import PretzelTriple, normalize_pretzel
+from .tanglecalc import PretzelTriple, canonical_entries
 
 __all__ = ["MAX_CROSSINGS", "PDCode", "PretzelKnot", "diagram_twists", "pretzel_diagram",
            "component_count", "is_knot", "knot_components", "pretzel_knot"]
@@ -163,7 +163,7 @@ def knot_components(entries: Sequence[int]) -> int:
     """Components of the 3-strand pretzel link with these nonzero twists,
     in closed form: one per even entry, or a single one when no entry is
     even.  The test suite checks this against full tracing."""
-    return max(1, sum(1 for e in entries if e % 2 == 0))
+    return max(1, [e % 2 for e in entries].count(0))
 
 
 @dataclass(frozen=True)
@@ -171,7 +171,8 @@ class PretzelKnot:
     """A pretzel triple checked to be a knot, with its canonical form.
 
     entries is the triple as given; canonical and mirror are what
-    normalize_pretzel returns for it, the canonical triple as a tuple.
+    canonical_entries returns for it: the canonical triple and whether
+    it is the mirror of the sorted entries.
     """
 
     entries: tuple[int, int, int]
@@ -179,16 +180,16 @@ class PretzelKnot:
     mirror: bool
 
 
-def pretzel_knot(triple: PretzelTriple | PretzelKnot) -> PretzelKnot:
-    """Validate a triple once: a zero twist, then a link, is a domain
-    error; otherwise canonicalize it.  A PretzelKnot passes through."""
+def pretzel_knot(triple: PretzelTriple | tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
+    """Validate a triple, or its (p, q, r) tuple, once: a zero twist,
+    then a link, is a domain error; otherwise canonicalize it.  A
+    PretzelKnot passes through."""
     if isinstance(triple, PretzelKnot):
         return triple
-    entries = triple.entries()
+    entries = triple.entries() if isinstance(triple, PretzelTriple) else triple
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
     components = knot_components(entries)
     if components != 1:
         raise NotAKnotError(f"not a knot ({components} components)")
-    canonical, mirror = normalize_pretzel(triple)
-    return PretzelKnot(entries, canonical.entries(), mirror)
+    return PretzelKnot(entries, *canonical_entries(entries))

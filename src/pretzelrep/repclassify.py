@@ -10,7 +10,7 @@ on, so a report can be audited rule by rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import (
     DegenerateTangleError,
@@ -25,8 +25,8 @@ from .tanglecalc import (
     PretzelTriple,
     Sum,
     TangleExpr,
+    canonical_entries,
     is_large_algebraic,
-    normalize_pretzel,
 )
 
 __all__ = [
@@ -108,18 +108,15 @@ class RepReport:
 _EXACTLY_THREE = {(-2, 3, 3), (-2, 3, 5)}
 
 _BRIDGE_RULE = AppliedRule("bridge-number-bound", _CITE_BRIDGE, "upper", 3)
-_SMALL_TWIST_RULES = (
-    _BRIDGE_RULE,
-    AppliedRule("small-twist-reduction", _CITE_SMALL_TWIST, "upper", 2),
-)
-_EXACTLY_THREE_RULES = (
-    _BRIDGE_RULE,
-    AppliedRule("representativity-equals-three", _CITE_CLASSIFICATION, "exact", 3),
-)
-_AT_MOST_TWO_RULES = (
-    _BRIDGE_RULE,
-    AppliedRule("representativity-at-most-two", _CITE_CLASSIFICATION, "upper", 2),
-)
+# the report of each rule set for pretzel knots, before any torus rule
+_RULE_SETS = {
+    "small-twist": RepReport(1, 2, None, (_BRIDGE_RULE, AppliedRule(
+        "small-twist-reduction", _CITE_SMALL_TWIST, "upper", 2)), None, 2),
+    "exactly-three": RepReport(3, 3, 3, (_BRIDGE_RULE, AppliedRule(
+        "representativity-equals-three", _CITE_CLASSIFICATION, "exact", 3)), None, 3),
+    "at-most-two": RepReport(1, 2, None, (_BRIDGE_RULE, AppliedRule(
+        "representativity-at-most-two", _CITE_CLASSIFICATION, "upper", 2)), None, 3),
+}
 _TORUS_RULE = AppliedRule("torus-knot-identification", _CITE_TORUS)
 
 # torus data keyed by (canonical triple, mirror)
@@ -133,13 +130,26 @@ _TORUS = {
 }
 
 
+def _rule_set(entries: tuple[int, int, int], canonical: tuple[int, int, int]) -> str:
+    if 1 in entries or -1 in entries:
+        return "small-twist"
+    return "exactly-three" if canonical in _EXACTLY_THREE else "at-most-two"
+
+
+# every pretzel knot's report, built once and shared, keyed by rule set
+# and torus data; (1,1,1) and its mirror share one
+_REPORTS = {(name, None): report for name, report in _RULE_SETS.items()} | {
+    (name, torus): replace(_RULE_SETS[name], rules=_RULE_SETS[name].rules + (_TORUS_RULE,),
+                           torus=torus)
+    for name, torus in ((_rule_set(c, c), torus) for (c, _), torus in _TORUS.items())}
+
+
 def torus_pretzel(triple: PretzelTriple) -> TorusInfo | None:
     """Torus knot data for the few pretzel triples that are torus knots."""
     entries = triple.entries()
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
-    canonical, mirror = normalize_pretzel(triple)
-    return _TORUS.get((canonical.entries(), mirror))
+    return _TORUS.get(canonical_entries(entries))
 
 
 def tangle_string_bound(string_number: int) -> int:
@@ -187,21 +197,12 @@ def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
             "only Montesinos forms M(1/p,1/q,1/r) with three unit-numerator "
             "slopes classify as pretzels"
         )
-    return pretzel_knot(PretzelTriple(*(f.denominator * f.numerator for f in slopes)))
+    return pretzel_knot(tuple(f.denominator * f.numerator for f in slopes))
 
 
 def _classify_pretzel(knot: PretzelKnot) -> RepReport:
-    lower, upper, exact, bridge = 1, 2, None, 3
-    if 1 in knot.entries or -1 in knot.entries:
-        rules, bridge = _SMALL_TWIST_RULES, 2
-    elif knot.canonical in _EXACTLY_THREE:
-        rules, lower, upper, exact = _EXACTLY_THREE_RULES, 3, 3, 3
-    else:
-        rules = _AT_MOST_TWO_RULES
-    torus = _TORUS.get((knot.canonical, knot.mirror))
-    if torus is not None:
-        rules += (_TORUS_RULE,)
-    return RepReport(lower, upper, exact, rules, torus, bridge)
+    canonical = knot.canonical
+    return _REPORTS[_rule_set(knot.entries, canonical), _TORUS.get((canonical, knot.mirror))]
 
 
 def _classify_closure(expression: Closure) -> RepReport:

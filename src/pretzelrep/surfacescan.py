@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from .errors import DegenerateTangleError, InvariantError
 from .linktrace import PretzelKnot, pretzel_knot
-from .tanglecalc import PretzelTriple, normalize_pretzel
+from .tanglecalc import PretzelTriple, canonical_entries
 
 __all__ = [
     "TYPE_A",
@@ -229,7 +229,7 @@ def final_filter(pattern: SurfacePattern, triple: PretzelTriple | PretzelKnot) -
     if isinstance(triple, PretzelKnot):
         canonical = triple.canonical
     else:
-        canonical = normalize_pretzel(triple)[0].entries()
+        canonical = canonical_entries(triple.entries())[0]
     rebuilt = tuple(s if ty == TYPE_A else s - 1
                     for ty, s in zip(pattern.tangle_types, pattern.boundary_slopes))
     if rebuilt != canonical:

@@ -43,6 +43,7 @@ __all__ = [
     "max_digits",
     "parse_expr",
     "print_expr",
+    "canonical_entries",
     "normalize_pretzel",
     "is_large_algebraic",
 ]
@@ -282,8 +283,8 @@ def _print_term(expression: TangleExpr) -> str:
     raise ShapeError("closure C(...) is only valid at the root of a tree")
 
 
-def normalize_pretzel(triple: PretzelTriple) -> tuple[PretzelTriple, bool]:
-    """Canonical form of a pretzel triple under permutation and mirroring.
+def canonical_entries(entries: tuple[int, int, int]) -> tuple[tuple[int, int, int], bool]:
+    """Canonical form of pretzel entries under permutation and mirroring.
 
     Sorting the entries ascending fixes the permutation.  Of the sorted
     triple and its sorted mirror we keep the lexicographically larger
@@ -291,11 +292,17 @@ def normalize_pretzel(triple: PretzelTriple) -> tuple[PretzelTriple, bool]:
     (3,-2,3) stays (-2,3,3) while (2,-3,-5) flips to (-2,3,5) with the
     mirror flag set.
     """
-    low, mid, high = sorted(triple.entries())
+    low, mid, high = sorted(entries)
     plain, mirrored = (low, mid, high), (-high, -mid, -low)
     if mirrored > plain:
-        return PretzelTriple(*mirrored), True
-    return PretzelTriple(*plain), False
+        return mirrored, True
+    return plain, False
+
+
+def normalize_pretzel(triple: PretzelTriple) -> tuple[PretzelTriple, bool]:
+    """canonical_entries of a triple, the canonical form as a PretzelTriple."""
+    canonical, mirror = canonical_entries(triple.entries())
+    return PretzelTriple(*canonical), mirror
 
 
 def is_large_algebraic(expression: TangleExpr) -> bool:

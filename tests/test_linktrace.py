@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -12,8 +12,10 @@ from pretzelrep import (
     NotAKnotError,
     PDCode,
     PretzelTriple,
+    canonical_entries,
     component_count,
     is_knot,
+    normalize_pretzel,
     pretzel_diagram,
     pretzel_knot,
 )
@@ -114,6 +116,38 @@ def test_not_a_knot_message_counts_traced_components():
         with pytest.raises(NotAKnotError) as info:
             pretzel_knot(PretzelTriple(*entries))
         assert str(info.value) == f"not a knot ({traced} components)", entries
+
+
+def _outcome(triple):
+    """pretzel_knot's result, or the type and message of its error."""
+    try:
+        return pretzel_knot(triple)
+    except (DegenerateTangleError, NotAKnotError) as exc:
+        return type(exc), str(exc)
+
+
+def _brute_canonical(entries):
+    # the largest nondecreasing rearrangement of the triple or its
+    # mirror; the mirror flag is set only when the triple has no such
+    # rearrangement itself
+    plain = {p for p in permutations(entries) if list(p) == sorted(p)}
+    mirrored = {p for p in permutations(tuple(-e for e in entries)) if list(p) == sorted(p)}
+    canonical = max(plain | mirrored)
+    return canonical, canonical not in plain
+
+
+def test_tuple_and_triple_inputs_agree():
+    values = range(-6, 7)
+    outcomes = Counter()
+    for entries in product(values, repeat=3):
+        from_tuple = _outcome(entries)
+        assert from_tuple == _outcome(PretzelTriple(*entries)), entries
+        outcomes[from_tuple[0] if isinstance(from_tuple, tuple) else "knot"] += 1
+        canonical, mirror = canonical_entries(entries)
+        assert (PretzelTriple(*canonical), mirror) == normalize_pretzel(PretzelTriple(*entries))
+        assert (canonical, mirror) == _brute_canonical(entries), entries
+    # the box holds knots, zero twists and links
+    assert set(outcomes) == {"knot", DegenerateTangleError, NotAKnotError}
 
 
 def _reference_component_count(code):

@@ -210,6 +210,41 @@ def test_range_matches_single_classify():
         assert report == json.loads(single), triple
 
 
+def range_line_from_report(triple, report: str) -> str:
+    """The range line built from the bounds: and torus: facts of a
+    single classify text report."""
+    facts = dict(line.split(": ", 1) for line in report.splitlines()
+                 if ": " in line and not line.startswith(" "))
+    bounds = dict(fact.split("=") for fact in facts["bounds"].split())
+    line = "P({},{},{})".format(*triple)
+    if "exact" in bounds:
+        line += f"  r={bounds['exact']} exact"
+    else:
+        line += f"  r in [{bounds['lower']},{bounds['upper']}]"
+    torus = facts.get("torus")
+    if torus == "yes (parameters not tracked)":
+        line += "  torus=yes"
+    elif torus is not None:
+        line += f"  torus={torus}"
+    return line
+
+
+def test_range_text_matches_single_classify():
+    lines = run_cli(["classify", "--range", "-7:7"]).splitlines()
+    values = [v for v in range(-7, 8) if v != 0]
+    knots = [t for t in combinations_with_replacement(values, 3)
+             if sum(1 for e in t if e % 2 == 0) <= 1]
+    for triple, line in zip(knots, lines, strict=True):
+        single = run_cli(["classify", "P({},{},{})".format(*triple)])
+        assert line == range_line_from_report(triple, single), triple
+    # unit twists with the (1,1,1) torus class, both survivors and their
+    # mirrors, and knots with an even entry
+    assert "P(1,1,1)  r in [1,2]  torus=yes" in lines
+    tori = {line.split("torus=")[1] for line in lines if "torus=(" in line}
+    assert tori == {"(3,4)", "(3,-4)", "(3,5)", "(3,-5)"}
+    assert any(e % 2 == 0 for t in knots for e in t)
+
+
 def old_trace(entries, as_json: bool) -> str:
     pd = [list(crossing) for crossing in pretzel_diagram(entries).crossings]
     components = knot_components(entries)

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from pretzelrep import (
+    AppliedRule,
     DegenerateTangleError,
     InvalidParameterError,
     NotAKnotError,
@@ -11,12 +12,19 @@ from pretzelrep import (
     RepReport,
     TorusInfo,
     UnsupportedInputError,
+    normalize_pretzel,
     parse_expr,
+    pretzel_knot,
     representativity_bounds,
     tangle_string_bound,
     torus_pretzel,
 )
 from pretzelrep.linktrace import knot_components
+
+
+# the citation of each pretzel rule, as the classifier states it
+CITATIONS = {rule.name: rule.citation for text in ["P(1,1,1)", "P(-2,3,3)", "P(-3,5,5)"]
+             for rule in representativity_bounds(parse_expr(text)).rules}
 
 
 def _bounds(text) -> RepReport:
@@ -156,3 +164,42 @@ def test_rules_replay_to_reported_bounds():
     for text in ["C((1/3+1/5)+(1/2+1/7))", "C(1/3+(1/2+1/5))"]:
         report = _bounds(text)
         assert _replay(report) == (report.lower, report.upper, report.exact)
+
+
+def _per_call_report(entries) -> RepReport:
+    # the report as each call used to build it
+    canonical, mirror = normalize_pretzel(PretzelTriple(*entries))
+    canonical = canonical.entries()
+    lower, upper, exact, bridge = 1, 2, None, 3
+    if 1 in entries or -1 in entries:
+        rule, bridge = ("small-twist-reduction", "upper", 2), 2
+    elif canonical in {(-2, 3, 3), (-2, 3, 5)}:
+        rule, lower, upper, exact = ("representativity-equals-three", "exact", 3), 3, 3, 3
+    else:
+        rule = ("representativity-at-most-two", "upper", 2)
+    rules = [("bridge-number-bound", "upper", 3), rule]
+    torus = torus_pretzel(PretzelTriple(*entries))
+    if torus is not None:
+        rules.append(("torus-knot-identification", None, None))
+    return RepReport(lower, upper, exact, tuple(AppliedRule(name, CITATIONS[name], sets, value)
+                                                for name, sets, value in rules), torus, bridge)
+
+
+def test_one_class_shares_one_report():
+    for first, second in [((-3, 5, 5), (3, 5, 7)), ((-2, 3, 5), (5, -2, 3)),
+                          ((2, -3, -3), (-3, 2, -3)), ((1, 1, 1), (-1, -1, -1)),
+                          ((1, 3, 5), (-1, 4, 7))]:
+        assert (representativity_bounds(pretzel_knot(first))
+                is representativity_bounds(pretzel_knot(second))), (first, second)
+
+
+def test_reports_are_a_few_constants():
+    values = [v for v in range(-9, 10) if v != 0]
+    reports = {}
+    for entries in combinations_with_replacement(values, 3):
+        if knot_components(entries) != 1:
+            continue
+        report = representativity_bounds(pretzel_knot(entries))
+        assert report == _per_call_report(entries), entries
+        reports[id(report)] = report
+    assert len(reports) == 7
