@@ -59,7 +59,7 @@ _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
 # largest lemma --max: about 5 s and 190 MB as text, 300 MB as JSON
 LEMMA_MAX = 200_000
-# widest classify --range box, e.g. -60:60: about 1.2 s as text, 4 s as JSON
+# widest classify --range box, e.g. -60:60: about 1.2 s as text, 3.4 s as JSON
 RANGE_MAX_WIDTH = 121
 
 
@@ -195,17 +195,14 @@ def _classify_range(spec: str, as_json: bool, out) -> None:
     """
     low, high = _range_bounds(spec)
     if as_json:
-        def render(text: str, knot: PretzelKnot, report: RepReport) -> str:
-            return _report_json(text, None, knot, report, "  ")
+        render = _range_report
         lead, separator, close, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
     else:
         render = _range_line
         lead, separator, close, empty = "", "\n", "\n", ""
     written = False
     for entries in _knot_triples(low, high):
-        knot = pretzel_knot(entries)
-        text = "P(%d,%d,%d)" % entries
-        out.write(lead + render(text, knot, representativity_bounds(knot)))
+        out.write(lead + render(entries))
         lead, written = separator, True
     out.write(close if written else empty)
 
@@ -224,15 +221,21 @@ def _knot_triples(low: int, high: int):
                     yield a, b, c
 
 
-# the text after P(a,b,c) per report, by identity: pretzel reports are constants
+# the text after P(a,b,c) per report, by identity (each entry holds its report)
 _SUFFIXES: dict[int, tuple[RepReport, str]] = {}
 
 
-def _range_line(text: str, knot: PretzelKnot, report: RepReport) -> str:
+def _range_line(entries: tuple[int, int, int]) -> str:
+    report = representativity_bounds(pretzel_knot(entries))
     seen = _SUFFIXES.get(id(report))
-    if seen is None or seen[0] is not report:
+    if seen is None:
         seen = _SUFFIXES[id(report)] = (report, _range_suffix(report))
-    return text + seen[1]
+    return "P(%d,%d,%d)" % entries + seen[1]
+
+
+def _range_report(entries: tuple[int, int, int]) -> str:
+    knot = pretzel_knot(entries)
+    return _report_json("P(%d,%d,%d)" % entries, None, knot, representativity_bounds(knot), "  ")
 
 
 def _range_suffix(report: RepReport) -> str:
@@ -377,9 +380,9 @@ _CROSSING = _array(["%d"] * 4, "")
 # arcs, sheets, chi, genus and structural of a row that failed the
 # existence filters
 _UNMEASURED = ("null", "null", "null", "null", "false")
-# where each slope of the eight rows sits in (p, q, r, p + 1, q + 1, r + 1)
-_SLOPE_FIELDS = itemgetter(*[i + 3 * (ty == TYPE_B) for types in TYPINGS
-                             for i, ty in enumerate(types)])
+# where p, q, r, then each slope of the eight rows, sit in (p, q, r, p+1, q+1, r+1)
+_REPORT_INTS = itemgetter(0, 1, 2, *[i + 3 * (ty == TYPE_B) for types in TYPINGS
+                                     for i, ty in enumerate(types)])
 
 
 @cache
@@ -391,24 +394,47 @@ def _rules_json(rules: tuple, pad: str) -> str:
                                _scalar(rule.conditional)) for rule in rules], pad)
 
 
+# the template of a report whose eight rows fail the existence filters, by
+# the identity of its report and verdicts, which are shared and held here
+_REJECTED_REPORTS: dict[tuple, tuple[RepReport, tuple, str]] = {}
+
+
 def _report_json(input_text: str, expression: TangleExpr | None,
                  knot: PretzelKnot | None, report: RepReport, pad: str) -> str:
     """One classify report as JSON, its opening brace at indent pad; a
-    range report passes no expression."""
-    inner = pad + "  "
-    if knot is not None:
-        kind = "montesinos" if isinstance(expression, Montesinos) else "pretzel"
-        # normalized, mirror, is_knot, large_algebraic
-        fields = (_ints(knot.canonical, inner), _scalar(knot.mirror), "true", "null")
-        surfaces = _surfaces_json(knot, inner)
-    else:
-        kind = "closure"
+    range report passes no expression.  A knot none of whose rows passes
+    the existence filters fills one cached template."""
+    if knot is None:
         fields = ("null", "null", "null", _scalar(is_large_algebraic(expression)))
-        surfaces = "null"
+        return _fill_report(_quote(input_text), "closure", fields, report, "null", pad)
+    kind = "montesinos" if isinstance(expression, Montesinos) else "pretzel"
+    try:
+        verdicts = existence_verdicts(knot.canonical)
+    except DegenerateTangleError:  # a unit twist has no scan rows
+        verdicts = None
+    if verdicts is None or None in verdicts:
+        fields = (_ints(knot.canonical, pad + "  "), _scalar(knot.mirror), "true", "null")
+        surfaces = "null" if verdicts is None else _array(
+            [_row_json(row, pad + "    ") for row in scan_assignments(knot)], pad + "  ")
+        return _fill_report(_quote(input_text), kind, fields, report, surfaces, pad)
+    a, b, c = knot.canonical
+    key = (id(report), id(verdicts), kind, knot.mirror, pad)
+    seen = _REJECTED_REPORTS.get(key)
+    if seen is None:
+        fields = (_ints(["%d"] * 3, pad + "  "), _scalar(knot.mirror), "true", "null")
+        seen = _REJECTED_REPORTS[key] = (report, verdicts, _fill_report(
+            "%s", kind, fields, report, _rejected_rows(verdicts, pad + "  "), pad))
+    return seen[2] % (_quote(input_text), *_REPORT_INTS((a, b, c, a + 1, b + 1, c + 1)))
+
+
+def _fill_report(input_json: str, kind: str, fields: tuple, report: RepReport,
+                 surfaces: str, pad: str) -> str:
+    """_REPORT at indent pad; fields renders normalized to large_algebraic."""
+    inner = pad + "  "
     torus = "null" if report.torus is None else (
         _at(_TORUS, inner) % _ints(report.torus.params, inner + "  "))
     return _at(_REPORT, pad) % (
-        _quote(input_text), kind, *fields, _scalar(report.bridge_upper), torus,
+        input_json, kind, *fields, _scalar(report.bridge_upper), torus,
         report.lower, report.upper, _scalar(report.exact),
         _rules_json(report.rules, inner), surfaces)
 
@@ -418,11 +444,12 @@ def _report_json(input_text: str, expression: TangleExpr | None,
 
 def _cmd_surfaces(args, out) -> None:
     knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
+    rows = scan_assignments(knot)
     if args.json:
         out.write(_SURFACES % (_quote(args.expr), _ints(knot.canonical, "  "),
-                               _scalar(knot.mirror), _surfaces_json(knot, "  ")) + "\n")
+                               _scalar(knot.mirror),
+                               _array([_row_json(row, "    ") for row in rows], "  ")) + "\n")
         return
-    rows = scan_assignments(knot)
     if args.csv:
         table = csv_writer(out, lineterminator="\n")
         table.writerow(["types", "slope_1", "slope_2", "slope_3", "arcs",
@@ -473,20 +500,6 @@ def _row_csv(row: SurfacePattern) -> list:
             opt(row.verdict.family), opt(row.verdict.reason)]
 
 
-def _surfaces_json(knot: PretzelKnot, pad: str) -> str:
-    """The scan rows of a knot as a JSON array, its opening bracket at
-    indent pad; null for a unit twist."""
-    try:
-        verdicts = existence_verdicts(knot.canonical)
-    except DegenerateTangleError:
-        return "null"
-    if None in verdicts:
-        return _array([_row_json(row, pad + "  ") for row in scan_assignments(knot)], pad)
-    a, b, c = knot.canonical
-    return _rejected_rows(verdicts, pad) % _SLOPE_FIELDS((a, b, c, a + 1, b + 1, c + 1))
-
-
-@cache
 def _rejected_rows(verdicts: tuple[Verdict, ...], pad: str) -> str:
     """The array of eight rows that failed the existence filters, with a
     %d field for each slope; a few distinct blocks cover every range."""

@@ -154,9 +154,10 @@ def _misused_label(crossings) -> InvalidPDCodeError:
     return InvalidPDCodeError(f"arc {arc} appears {count} times, expected exactly 2")
 
 
-def is_knot(triple: PretzelTriple) -> bool:
+def is_knot(triple: PretzelTriple | tuple[int, int, int]) -> bool:
     """True when the pretzel diagram traces out a single component."""
-    return component_count(pretzel_diagram(triple.entries())) == 1
+    entries = triple.entries() if isinstance(triple, PretzelTriple) else triple
+    return component_count(pretzel_diagram(entries)) == 1
 
 
 def knot_components(entries: Sequence[int]) -> int:

@@ -93,12 +93,18 @@ _DENOMINATOR = Verdict(False, "common denominator exceeds the largest boundary s
 _SINGLE_DISK = Verdict(False, "single-disk region must meet the surface in one sheet")
 _PARALLEL_DISKS = Verdict(False, "parallel-disk region needs at least two sheets")
 _ALL_SIGN_PATTERN = (_SIGN_PATTERN,) * len(TYPINGS)
+_ALL_RECIPROCAL_SUM = (_RECIPROCAL_SUM,) * len(TYPINGS)
+# every other verdict tuple existence_verdicts has returned, kept once
+_VERDICTS: dict[tuple, tuple] = {}
 
 
-def scannable_knot(triple: PretzelTriple | PretzelKnot) -> PretzelKnot:
-    """The validated knot of a triple the scan applies to, or a domain
-    error: a zero twist, then a twist of absolute value 1, then a link."""
-    entries = triple.entries if isinstance(triple, PretzelKnot) else triple.entries()
+def scannable_knot(triple: PretzelTriple | PretzelKnot | tuple) -> PretzelKnot:
+    """The validated knot of a triple or (p, q, r) tuple the scan applies
+    to, or a domain error: a zero twist, then a unit twist, then a link."""
+    if isinstance(triple, PretzelKnot):
+        entries = triple.entries
+    else:
+        entries = triple.entries() if isinstance(triple, PretzelTriple) else triple
     if 0 not in entries and (1 in entries or -1 in entries):
         raise DegenerateTangleError(
             f"twist parameters must have absolute value >= 2, got {entries}"
@@ -130,18 +136,27 @@ def existence_verdicts(canonical: tuple[int, int, int]) -> tuple[Verdict | None,
     with no unit twist, in scan order; None for a structural row.
 
     As every |m| >= 2, m + 1 has the sign of m: a triple without exactly
-    one negative entry fails the sign pattern in every row.
+    one negative entry fails the sign pattern in every row; with one,
+    every row meets the reciprocal sum next.  Returned tuples are shared.
     """
     if 1 in canonical or -1 in canonical:
         raise DegenerateTangleError(f"unit twist in {canonical}")
-    if sum(m < 0 for m in canonical) != 1:
+    p, q, r = canonical
+    if (p < 0) + (q < 0) + (r < 0) != 1:
         return _ALL_SIGN_PATTERN
-    return tuple(_structural_reason(types, tuple(m if ty == TYPE_A else m + 1
-                                                 for ty, m in zip(types, canonical)))
-                 for types in TYPINGS)
+    # x(y + z) + yz, the sum cleared of fractions, for x in (p, p + 1), ...
+    for y, z in ((q, r), (q, r + 1), (q + 1, r), (q + 1, r + 1)):
+        if p * (y + z) + y * z == 0 or (p + 1) * (y + z) + y * z == 0:
+            break
+    else:
+        return _ALL_RECIPROCAL_SUM
+    verdicts = tuple(_structural_reason(types, tuple(m if ty == TYPE_A else m + 1
+                                                     for ty, m in zip(types, canonical)))
+                     for types in TYPINGS)
+    return _VERDICTS.setdefault(verdicts, verdicts)
 
 
-def scan_assignments(triple: PretzelTriple | PretzelKnot) -> list[SurfacePattern]:
+def scan_assignments(triple: PretzelTriple | PretzelKnot | tuple) -> list[SurfacePattern]:
     """All eight type assignments for the canonical form of the triple.
 
     Rows appear in lexicographic type order AAA..BBB.  Slope and count
@@ -165,7 +180,7 @@ def scan_assignments(triple: PretzelTriple | PretzelKnot) -> list[SurfacePattern
     return rows
 
 
-def enumerate_patterns(triple: PretzelTriple | PretzelKnot) -> list[SurfacePattern]:
+def enumerate_patterns(triple: PretzelTriple | PretzelKnot | tuple) -> list[SurfacePattern]:
     """The scan rows that pass the existence filters, in scan order.
 
     Each pattern carries the verdict of the compressing-disk filter; an
@@ -214,7 +229,7 @@ def genus(pattern: SurfacePattern) -> int:
     return _genus_from_chi(euler_characteristic(pattern))
 
 
-def final_filter(pattern: SurfacePattern, triple: PretzelTriple | PretzelKnot) -> Verdict:
+def final_filter(pattern: SurfacePattern, triple: PretzelTriple | PretzelKnot | tuple) -> Verdict:
     """Sort a pattern into its slope family and apply the disk filters.
 
     The absolute slopes (a, b, c) = (-p', q', r') solve the
@@ -223,13 +238,14 @@ def final_filter(pattern: SurfacePattern, triple: PretzelTriple | PretzelKnot) -
     and d = m.  Twin patterns survive only for d = 2 and consecutive
     patterns only for k = 2, d = 1; in every other case two adjacent
     sheets are joined by a compressing disk meeting the knot twice.  A
-    PretzelKnot brings its canonical triple; a plain triple is
-    normalized here.
+    PretzelKnot brings its canonical triple; a plain triple or (p, q, r)
+    tuple is normalized here.
     """
     if isinstance(triple, PretzelKnot):
         canonical = triple.canonical
     else:
-        canonical = canonical_entries(triple.entries())[0]
+        canonical = canonical_entries(
+            triple.entries() if isinstance(triple, PretzelTriple) else triple)[0]
     rebuilt = tuple(s if ty == TYPE_A else s - 1
                     for ty, s in zip(pattern.tangle_types, pattern.boundary_slopes))
     if rebuilt != canonical:

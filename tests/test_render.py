@@ -19,15 +19,20 @@ import pytest
 from pretzelrep import (
     DegenerateTangleError,
     PretzelTriple,
+    canonical_entries,
+    enumerate_patterns,
     enumerate_solutions,
+    existence_verdicts,
     is_large_algebraic,
     normalize_pretzel,
     parse_expr,
     pretzel_diagram,
+    pretzel_form_knot,
     representativity_bounds,
     run,
     scan_assignments,
 )
+from pretzelrep.cli import _report_json
 from pretzelrep.linktrace import knot_components
 
 
@@ -66,9 +71,10 @@ def surfaces_obj(triple):
     return [row_obj(row) for row in rows]
 
 
-def report_obj(text: str, kind: str, triple) -> dict:
-    """The classify --json object for a pretzel, Montesinos or closure input."""
-    report = representativity_bounds(parse_expr(text))
+def report_obj(text: str, kind: str, triple, report=None) -> dict:
+    """The classify --json object for a pretzel, Montesinos or closure
+    input, with its own report unless one is given."""
+    report = representativity_bounds(parse_expr(text)) if report is None else report
     obj = {"input": text, "kind": kind}
     if triple is not None:
         canonical, mirror = normalize_pretzel(triple)
@@ -111,13 +117,61 @@ def random_boxes(seed: int, count: int):
         yield low, rng.randint(low, min(12, low + 12))
 
 
-# -5:5 holds both survivors and every sign class of canonical triple
+# -5:5 holds both survivors and their mirrors, unit twists, structural
+# rows and every sign class of canonical triple
 BOXES = [(2, 2), (1, 1), (-3, 3), (-5, 5), *random_boxes(2024, 6)]
 
 
 @pytest.mark.parametrize("low,high", BOXES, ids=[f"{a}:{b}" for a, b in BOXES])
 def test_range_json_matches_json_dumps(low, high):
     assert run_cli(["classify", "--range", f"{low}:{high}", "--json"]) == expected_range(low, high)
+
+
+def test_box_holds_every_report_path():
+    triples = [t.entries() for t in knot_triples(-5, 5)]
+    canonical = {canonical_entries(t) for t in triples}
+    assert {((-2, 3, 3), False), ((-2, 3, 3), True), ((-2, 3, 5), False),
+            ((-2, 3, 5), True)} <= canonical
+    assert any(1 in t or -1 in t for t in triples)
+    scannable = [t for t in triples if 1 not in t and -1 not in t]
+    assert any(enumerate_patterns(t) and not representativity_bounds(
+        pretzel_form_knot(parse_expr("P({},{},{})".format(*t)))).exact for t in scannable)
+
+
+def rejected_blocks(bound: int) -> list[tuple[int, int, int]]:
+    """One canonical knot triple in [-bound, bound] per distinct verdict
+    tuple with no structural row."""
+    blocks = {}
+    values = [v for v in range(-bound, bound + 1) if abs(v) >= 2]
+    for entries in combinations_with_replacement(values, 3):
+        if knot_components(entries) == 1:
+            canonical = canonical_entries(entries)[0]
+            verdicts = existence_verdicts(canonical)
+            if None not in verdicts:
+                blocks.setdefault(verdicts, canonical)
+    return list(blocks.values())
+
+
+BLOCKS = rejected_blocks(40)
+# a torus survivor's report and a non-survivor's, each rendered in turn
+# around the rows of a rejected-only knot
+REPORTS = [representativity_bounds(parse_expr(text)) for text in ("P(2,-3,-5)", "P(3,5,7)")]
+
+
+@pytest.mark.parametrize("canonical", BLOCKS, ids=str)
+def test_rejected_only_report_matches_json_dumps(canonical):
+    assert [report.torus is not None for report in REPORTS] == [True, False]
+    for entries in (canonical, tuple(-e for e in canonical)):
+        p, q, r = entries
+        for kind, text in (("pretzel", f"P({p},{q},{r})"), ("montesinos", f"M(1/{p},1/{q},1/{r})")):
+            expression = parse_expr(text)
+            knot = pretzel_form_knot(expression)
+            assert knot.mirror == (entries != canonical)
+            for report in REPORTS:
+                obj = report_obj(text, kind, PretzelTriple(*entries), report)
+                for pad in ("", "  "):
+                    expected = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+                    assert _report_json(text, expression, knot, report, pad) == expected
 
 
 def test_empty_range_prints_empty_array():

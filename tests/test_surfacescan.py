@@ -1,5 +1,6 @@
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -7,17 +8,22 @@ from pretzelrep import (
     DegenerateTangleError,
     InvariantError,
     NotAKnotError,
+    PretzelRepError,
     PretzelTriple,
     SurfacePattern,
     Verdict,
     enumerate_patterns,
     euler_characteristic,
     existence_verdicts,
+    canonical_entries,
     final_filter,
     genus,
+    is_knot,
     normalize_pretzel,
     pretzel_knot,
     scan_assignments,
+    scannable_knot,
+    torus_pretzel,
 )
 from pretzelrep.linktrace import knot_components
 from pretzelrep.surfacescan import TYPINGS
@@ -274,3 +280,69 @@ def test_existence_verdicts_match_the_scan():
         assert existence_verdicts(knot.canonical) == expected, entries
         checked += 1
     assert checked == 9800
+
+
+def _outcome(call, *args):
+    """call(*args), or the type and message of its error."""
+    try:
+        return call(*args)
+    except PretzelRepError as exc:
+        return type(exc), str(exc)
+
+
+def test_library_calls_take_plain_tuples():
+    # every call that takes a PretzelTriple also takes its (p, q, r)
+    # tuple, with the same result or the same error
+    row_233 = enumerate_patterns(PretzelTriple(-2, 3, 3))[0]
+    outcomes = Counter()
+    for entries in product(range(-6, 7), repeat=3):
+        triple = PretzelTriple(*entries)
+        for call in (scannable_knot, scan_assignments, enumerate_patterns, is_knot,
+                     torus_pretzel):
+            result = _outcome(call, entries)
+            assert result == _outcome(call, triple), (call.__name__, entries)
+            outcomes[call.__name__, result[0] if isinstance(result, tuple) else "ok"] += 1
+        rows = _outcome(scan_assignments, entries)
+        for row in [row_233, *(r for r in rows if isinstance(r, SurfacePattern) and r.structural)]:
+            assert _outcome(final_filter, row, entries) == _outcome(final_filter, row, triple)
+    # the box reaches every check: zero twists, unit twists, links, knots
+    assert {kind for _, kind in outcomes} == {"ok", DegenerateTangleError, NotAKnotError}
+    assert outcomes["scan_assignments", "ok"] > 0
+
+
+RECIPROCAL_SUM_ROWS = (RECIPROCAL_SUM,) * 8
+
+
+@pytest.mark.parametrize("entries,typing,reason", [
+    ((-16, 23, 39), 7, "common denominator exceeds the largest boundary slope"),
+    ((-21, 39, 39), 7, "single-disk region must meet the surface in one sheet"),
+    ((-20, 39, 40), 2, "parallel-disk region needs at least two sheets"),  # a link
+    ((-19, 37, 38), 2, "parallel-disk region needs at least two sheets"),
+], ids=str)
+def test_existence_verdicts_past_a_zero_reciprocal_sum(entries, typing, reason):
+    # one typing clears the reciprocal sum and fails a later filter
+    expected = list(RECIPROCAL_SUM_ROWS)
+    expected[typing] = Verdict(False, reason)
+    verdicts = existence_verdicts(entries)
+    assert verdicts == tuple(expected)
+    assert existence_verdicts(entries) is verdicts  # shared, not rebuilt
+    if knot_components(entries) == 1:
+        assert verdicts == tuple(row.verdict for row in scan_assignments(entries))
+
+
+def test_existence_verdicts_match_the_scan_with_one_negative_entry():
+    values = [v for v in range(-40, 41) if abs(v) >= 2]
+    screened = fallback = 0
+    for entries in combinations_with_replacement(values, 3):
+        if (entries[0] > 0 or entries[1] < 0 or knot_components(entries) != 1
+                or canonical_entries(entries)[0] != entries):
+            continue
+        verdicts = existence_verdicts(entries)
+        expected = tuple(None if row.structural else row.verdict
+                         for row in scan_assignments(entries))
+        assert verdicts == expected, entries
+        if verdicts == RECIPROCAL_SUM_ROWS:
+            screened += 1
+        else:
+            fallback += 1
+    assert screened > 0 and fallback > 0
