@@ -46,7 +46,6 @@ from .linktrace import (
     pretzel_knot,
 )
 from .slopelemma import (
-    LemmaSolution,
     SlopeCondition,
     brute_force_solutions,
     enumerate_solutions,

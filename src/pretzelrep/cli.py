@@ -57,7 +57,7 @@ __all__ = ["run", "main", "build_parser"]
 
 _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
-# largest lemma --max: about 5 s and 190 MB as text, 300 MB as JSON
+# largest lemma --max: about 3 s, and 205 MB as text, 310 MB as JSON
 LEMMA_MAX = 200_000
 # widest classify --range box, e.g. -60:60: about 1.2 s as text, 3.4 s as JSON
 RANGE_MAX_WIDTH = 121
@@ -533,9 +533,9 @@ def _cmd_lemma(args, out) -> None:
     solutions = enumerate_solutions(args.max_c)
     if args.json:
         row = _at(_LEMMA_ROW, "  ")
-        text = _array([row % (s.a, s.b, s.c, s.k, s.l, s.d) for s in solutions], "") + "\n"
+        text = _array([row % s for s in solutions], "") + "\n"
     else:
-        text = "".join([f"{s.a} {s.b} {s.c} | k={s.k} l={s.l} d={s.d}\n" for s in solutions])
+        text = "".join(["%d %d %d | k=%d l=%d d=%d\n" % s for s in solutions])
     out.write(text)
 
 

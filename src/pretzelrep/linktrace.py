@@ -104,7 +104,9 @@ def component_count(code: PDCode) -> int:
     if not crossings:
         return 0
     size = 2 * len(crossings)
-    low, high = min(map(min, crossings)), max(map(max, crossings))
+    # the default serves a code of empty crossings, which the slot check below rejects
+    low = min(chain.from_iterable(crossings), default=1)
+    high = max(chain.from_iterable(crossings), default=1)
     if low < 1 or high > size:
         raise InvalidPDCodeError(
             f"arc {low if low < 1 else high} is outside the labels 1..{size}")

@@ -16,16 +16,15 @@ boundary slope 1/(m+1) (type B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .errors import InvalidParameterError, InvariantError
 
 __all__ = [
     "SlopeCondition",
-    "LemmaSolution",
     "parametrize",
     "enumerate_solutions",
     "brute_force_solutions",
@@ -41,25 +40,6 @@ class SlopeCondition(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True, slots=True)
-class LemmaSolution:
-    """One solution triple together with its parametrization."""
-
-    a: int
-    b: int
-    c: int
-    k: int
-    l: int
-    d: int
-
-    def __post_init__(self):
-        if parametrize(self.k, self.l, self.d) != (self.a, self.b, self.c):
-            raise InvariantError(
-                f"({self.a},{self.b},{self.c}) does not match "
-                f"k={self.k} l={self.l} d={self.d}"
-            )
-
-
 def parametrize(k: int, l: int, d: int) -> tuple[int, int, int]:
     """Solution triple (a, b, c) for parameters (k, l, d)."""
     if k < 1 or d < 1:
@@ -71,12 +51,14 @@ def parametrize(k: int, l: int, d: int) -> tuple[int, int, int]:
     return (k * (l - k) * d, l * (l - k) * d, k * l * d)
 
 
-def enumerate_solutions(max_c: int) -> list[LemmaSolution]:
-    """All solutions with c <= max_c, via the parametrization.
+def enumerate_solutions(max_c: int) -> list[tuple[int, int, int, int, int, int]]:
+    """All solutions with c <= max_c, via the parametrization, as plain
+    (a, b, c, k, l, d) tuples.
 
     Sorted by (a, b, c).  The parametrization is injective for a >= 2
     and the twin family is covered once by (k, l) = (1, 2), so no
-    deduplication is needed.
+    deduplication is needed.  Every row is checked against
+    (k(l-k)d, l(l-k)d, kld) before it is returned.
     """
     rows = []
     k = 1
@@ -86,11 +68,18 @@ def enumerate_solutions(max_c: int) -> list[LemmaSolution]:
             if gcd(k, l) != 1:
                 continue
             a, b, c = parametrize(k, l, 1)
-            rows.extend((a * d, b * d, c * d, k, l, d) for d in range(1, max_c // c + 1))
+            n = max_c // c
+            # row d is (a*d, b*d, c*d, k, l, d) for d = 1..n
+            rows.extend(zip(range(a, a * n + 1, a), range(b, b * n + 1, b),
+                            range(c, c * n + 1, c), repeat(k, n), repeat(l, n),
+                            range(1, n + 1)))
         k += 1
     # (a, b, c) is unique, so the sort never compares the parameters
     rows.sort()
-    return [LemmaSolution(*row) for row in rows]
+    for a, b, c, k, l, d in rows:
+        if (k * (l - k) * d, l * (l - k) * d, k * l * d) != (a, b, c):
+            raise InvariantError(f"({a},{b},{c}) does not match k={k} l={l} d={d}")
+    return rows
 
 
 def brute_force_solutions(max_c: int) -> list[tuple[int, int, int]]:

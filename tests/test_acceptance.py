@@ -86,7 +86,7 @@ def test_criterion_2_survivor_patterns_exact():
 def test_criterion_3_lemma_enumeration_vs_oracle():
     start = time.perf_counter()
     enumerated = enumerate_solutions(300)
-    triples = [(s.a, s.b, s.c) for s in enumerated]
+    triples = [s[:3] for s in enumerated]
     ok = triples == sorted(triples)
     ok &= len(set(triples)) == len(triples)
     ok &= set(triples) == set(brute_force_solutions(300))

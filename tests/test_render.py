@@ -339,13 +339,13 @@ def test_trace_json_is_written_in_bounded_chunks():
 def test_lemma_text_matches_print_per_line():
     for max_c in range(2, 401):
         out = io.StringIO()
-        for s in enumerate_solutions(max_c):
-            print(f"{s.a} {s.b} {s.c} | k={s.k} l={s.l} d={s.d}", file=out)
+        for a, b, c, k, l, d in enumerate_solutions(max_c):
+            print(f"{a} {b} {c} | k={k} l={l} d={d}", file=out)
         assert run_cli(["lemma", "--max", str(max_c)]) == out.getvalue(), max_c
 
 
 @pytest.mark.parametrize("max_c", [2, 3, 6, 15, 61, 128, 299, 400])
 def test_lemma_json_matches_json_dumps(max_c):
-    expected = dumps([{"a": s.a, "b": s.b, "c": s.c, "k": s.k, "l": s.l, "d": s.d}
-                      for s in enumerate_solutions(max_c)])
+    expected = dumps([{"a": a, "b": b, "c": c, "k": k, "l": l, "d": d}
+                      for a, b, c, k, l, d in enumerate_solutions(max_c)])
     assert run_cli(["lemma", "--max", str(max_c), "--json"]) == expected

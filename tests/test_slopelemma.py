@@ -5,12 +5,12 @@ import pytest
 
 from pretzelrep import (
     InvalidParameterError,
-    LemmaSolution,
     SlopeCondition,
     brute_force_solutions,
     enumerate_solutions,
     parametrize,
     slope_condition,
+    slopelemma,
 )
 from pretzelrep.errors import InvariantError
 
@@ -46,9 +46,24 @@ def test_parametrize_rejects_bad_parameters():
         parametrize(1, 2, 0)
 
 
-def test_solution_consistency_enforced():
-    with pytest.raises(InvariantError):
-        LemmaSolution(1, 2, 3, 1, 2, 1)
+def test_enumerate_checks_every_row(monkeypatch):
+    def off_by_one(k, l, d):
+        a, b, c = parametrize(k, l, d)
+        return a, b, c + 1
+
+    monkeypatch.setattr(slopelemma, "parametrize", off_by_one)
+    with pytest.raises(InvariantError) as info:
+        enumerate_solutions(10)
+    assert str(info.value) == "(1,2,3) does not match k=1 l=2 d=1"
+
+
+def test_enumerate_rows_are_plain_parametrized_tuples():
+    rows = enumerate_solutions(2000)
+    assert rows
+    for row in rows:
+        assert type(row) is tuple
+        a, b, c, k, l, d = row
+        assert row == (*parametrize(k, l, d), k, l, d)
 
 
 def test_brute_force_examples():
@@ -68,7 +83,7 @@ def test_enumerate_matches_brute_force():
     # the acceptance suite runs this at 300; keep the module test quick
     for max_c in (2, 3, 10, 60):
         enumerated = enumerate_solutions(max_c)
-        triples = [(s.a, s.b, s.c) for s in enumerated]
+        triples = [s[:3] for s in enumerated]
         assert triples == sorted(triples)
         assert len(set(triples)) == len(triples)
         assert set(triples) == set(brute_force_solutions(max_c))
