@@ -57,7 +57,7 @@ __all__ = ["run", "main", "build_parser"]
 
 _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
-# largest lemma --max: about 3 s, and 205 MB as text, 310 MB as JSON
+# largest lemma --max: about 2.5 s and 131 MB, as text or JSON
 LEMMA_MAX = 200_000
 # widest classify --range box, e.g. -60:60: about 1.2 s as text, 3.4 s as JSON
 RANGE_MAX_WIDTH = 121
@@ -531,23 +531,34 @@ def _cmd_lemma(args, out) -> None:
     if args.max_c > LEMMA_MAX:
         raise _UsageError(f"--max must be at most {LEMMA_MAX}, got {args.max_c}")
     solutions = enumerate_solutions(args.max_c)
-    if args.json:
-        row = _at(_LEMMA_ROW, "  ")
-        text = _array([row % s for s in solutions], "") + "\n"
+    if not args.json:
+        _write_items(out, "", "%d %d %d | k=%d l=%d d=%d\n", solutions, "", "")
+    elif solutions:
+        _write_items(out, "[\n  ", _at(_LEMMA_ROW, "  "), solutions, ",\n  ", "\n]\n")
     else:
-        text = "".join(["%d %d %d | k=%d l=%d d=%d\n" % s for s in solutions])
-    out.write(text)
+        out.write("[]\n")
+
+
+# lemma and trace --json write their rows this many at a time, under 600 KB
+_ITEMS_PER_WRITE = 8192
+
+
+def _write_items(out, head: str, template: str, items, separator: str, tail: str) -> None:
+    """Write head, then template % item for each item with separator
+    between them, then tail; head goes out only when there are items."""
+    lead = head
+    for start in range(0, len(items), _ITEMS_PER_WRITE):
+        out.write(lead + separator.join([template % item
+                                         for item in items[start:start + _ITEMS_PER_WRITE]]))
+        lead = separator
+    out.write(tail)
 
 
 # --- trace ---
 
 
-# trace --json writes its crossings this many at a time, under 600 KB
-_CROSSINGS_PER_WRITE = 8192
-
-
 def _cmd_trace(args, out) -> None:
-    twists = diagram_twists(_parse_pretzel_argument(args.expr, "trace").entries())
+    twists = diagram_twists(_parse_pretzel_argument(args.expr, "trace"))
     code = pretzel_diagram(twists)
     components = component_count(code)
     crossings = code.crossings
@@ -559,12 +570,7 @@ def _cmd_trace(args, out) -> None:
     # the pd array, never empty, closes the object; its items go where %s is
     head, tail = (_TRACE % (_ints(twists, "  "), len(crossings), components,
                             _array(["%s"], "  "))).split("%s")
-    crossing, lead = _at(_CROSSING, "    "), head
-    for start in range(0, len(crossings), _CROSSINGS_PER_WRITE):
-        chunk = crossings[start:start + _CROSSINGS_PER_WRITE]
-        out.write(lead + ",\n    ".join([crossing % c for c in chunk]))
-        lead = ",\n    "
-    out.write(tail + "\n")
+    _write_items(out, head, _at(_CROSSING, "    "), crossings, ",\n    ", tail + "\n")
 
 
 # --- parse ---
@@ -588,7 +594,7 @@ def _tree_json(expression: TangleExpr) -> dict:
                 "left": _tree_json(expression.left),
                 "right": _tree_json(expression.right)}
     if isinstance(expression, Pretzel):
-        return {"kind": "pretzel", "entries": list(expression.triple.entries())}
+        return {"kind": "pretzel", "entries": list(expression.triple)}
     if isinstance(expression, Montesinos):
         return {"kind": "montesinos", "slopes": [str(f) for f in expression.slopes]}
     return {"kind": "closure", "inner": _tree_json(expression.inner)}

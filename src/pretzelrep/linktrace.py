@@ -25,7 +25,7 @@ from .errors import (
     InvalidPDCodeError,
     NotAKnotError,
 )
-from .tanglecalc import PretzelTriple, canonical_entries
+from .tanglecalc import canonical_entries
 
 __all__ = ["MAX_CROSSINGS", "PDCode", "PretzelKnot", "diagram_twists", "pretzel_diagram",
            "component_count", "is_knot", "knot_components", "pretzel_knot"]
@@ -156,10 +156,9 @@ def _misused_label(crossings) -> InvalidPDCodeError:
     return InvalidPDCodeError(f"arc {arc} appears {count} times, expected exactly 2")
 
 
-def is_knot(triple: PretzelTriple | tuple[int, int, int]) -> bool:
+def is_knot(triple: tuple[int, int, int]) -> bool:
     """True when the pretzel diagram traces out a single component."""
-    entries = triple.entries() if isinstance(triple, PretzelTriple) else triple
-    return component_count(pretzel_diagram(entries)) == 1
+    return component_count(pretzel_diagram(triple)) == 1
 
 
 def knot_components(entries: Sequence[int]) -> int:
@@ -183,13 +182,12 @@ class PretzelKnot:
     mirror: bool
 
 
-def pretzel_knot(triple: PretzelTriple | tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
-    """Validate a triple, or its (p, q, r) tuple, once: a zero twist,
-    then a link, is a domain error; otherwise canonicalize it.  A
-    PretzelKnot passes through."""
+def pretzel_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
+    """Validate a triple once: a zero twist, then a link, is a domain
+    error; otherwise canonicalize it.  A PretzelKnot passes through."""
     if isinstance(triple, PretzelKnot):
         return triple
-    entries = triple.entries() if isinstance(triple, PretzelTriple) else triple
+    entries = tuple(triple)  # a plain tuple, so messages print (p, q, r)
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
     components = knot_components(entries)

@@ -22,7 +22,6 @@ from .tanglecalc import (
     Closure,
     Montesinos,
     Pretzel,
-    PretzelTriple,
     Sum,
     TangleExpr,
     canonical_entries,
@@ -144,9 +143,9 @@ _REPORTS = {(name, None): report for name, report in _RULE_SETS.items()} | {
     for name, torus in ((_rule_set(c, c), torus) for (c, _), torus in _TORUS.items())}
 
 
-def torus_pretzel(triple: PretzelTriple | tuple[int, int, int]) -> TorusInfo | None:
+def torus_pretzel(triple: tuple[int, int, int]) -> TorusInfo | None:
     """Torus knot data for the few pretzel triples that are torus knots."""
-    entries = triple.entries() if isinstance(triple, PretzelTriple) else triple
+    entries = tuple(triple)  # a plain tuple, so the message prints (p, q, r)
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
     return _TORUS.get(canonical_entries(entries))

@@ -15,11 +15,11 @@ torus in L = 2N longitudes.  Counting cells (3L vertices, 3N + 3L
 edges, sum(sheets) + L faces) gives the Euler characteristic
 chi = sum(sheets) - N.
 
-The surviving slope triples are solutions of the reciprocal-sum lemma;
-recovering the parameters (k, l, d) sorts every pattern into the twin
-family (l = 2k) or the consecutive family (l = k + 1), where disk
-compressions rule out everything except d = 2 in the first family and
-k = 2, d = 1 in the second.
+The surviving slope triples are solutions of the reciprocal-sum lemma
+with parameters (k, l, d).  The denominator filter forces the
+consecutive family l = k + 1 on every one of them; the twin family
+(l = 2k) is its case k = 1.  Disk compressions rule out everything
+except d = 2 in the twin family and k = 2, d = 1 otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import gcd, lcm
 
 from .errors import DegenerateTangleError, InvariantError
 from .linktrace import PretzelKnot, pretzel_knot
-from .tanglecalc import PretzelTriple, canonical_entries
+from .tanglecalc import canonical_entries
 
 __all__ = [
     "TYPE_A",
@@ -98,13 +98,10 @@ _ALL_RECIPROCAL_SUM = (_RECIPROCAL_SUM,) * len(TYPINGS)
 _VERDICTS: dict[tuple, tuple] = {}
 
 
-def scannable_knot(triple: PretzelTriple | PretzelKnot | tuple) -> PretzelKnot:
-    """The validated knot of a triple or (p, q, r) tuple the scan applies
-    to, or a domain error: a zero twist, then a unit twist, then a link."""
-    if isinstance(triple, PretzelKnot):
-        entries = triple.entries
-    else:
-        entries = triple.entries() if isinstance(triple, PretzelTriple) else triple
+def scannable_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
+    """The validated knot of a triple the scan applies to, or a domain
+    error: a zero twist, then a unit twist, then a link."""
+    entries = triple.entries if isinstance(triple, PretzelKnot) else tuple(triple)
     if 0 not in entries and (1 in entries or -1 in entries):
         raise DegenerateTangleError(
             f"twist parameters must have absolute value >= 2, got {entries}"
@@ -156,7 +153,7 @@ def existence_verdicts(canonical: tuple[int, int, int]) -> tuple[Verdict | None,
     return _VERDICTS.setdefault(verdicts, verdicts)
 
 
-def scan_assignments(triple: PretzelTriple | PretzelKnot | tuple) -> list[SurfacePattern]:
+def scan_assignments(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
     """All eight type assignments for the canonical form of the triple.
 
     Rows appear in lexicographic type order AAA..BBB.  Slope and count
@@ -164,7 +161,7 @@ def scan_assignments(triple: PretzelTriple | PretzelKnot | tuple) -> list[Surfac
     """
     knot = scannable_knot(triple)
     rows = []
-    for types in product((TYPE_A, TYPE_B), repeat=3):
+    for types in TYPINGS:
         slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, knot.canonical))
         rejected = _structural_reason(types, slopes)
         if rejected is not None:
@@ -180,7 +177,7 @@ def scan_assignments(triple: PretzelTriple | PretzelKnot | tuple) -> list[Surfac
     return rows
 
 
-def enumerate_patterns(triple: PretzelTriple | PretzelKnot | tuple) -> list[SurfacePattern]:
+def enumerate_patterns(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
     """The scan rows that pass the existence filters, in scan order.
 
     Each pattern carries the verdict of the compressing-disk filter; an
@@ -229,23 +226,22 @@ def genus(pattern: SurfacePattern) -> int:
     return _genus_from_chi(euler_characteristic(pattern))
 
 
-def final_filter(pattern: SurfacePattern, triple: PretzelTriple | PretzelKnot | tuple) -> Verdict:
+def final_filter(pattern: SurfacePattern, triple: tuple[int, int, int] | PretzelKnot) -> Verdict:
     """Sort a pattern into its slope family and apply the disk filters.
 
     The absolute slopes (a, b, c) = (-p', q', r') solve the
-    reciprocal-sum lemma; with m = gcd(a, b), k = a/m, l = b/m the twin
-    family has l = 2k and d = m, the consecutive family has l = k + 1
-    and d = m.  Twin patterns survive only for d = 2 and consecutive
-    patterns only for k = 2, d = 1; in every other case two adjacent
+    reciprocal-sum lemma; with d = gcd(a, b), k = a/d, l = b/d every
+    scan row has l = k + 1 and c = kld, as the denominator filter
+    forces, and anything else is an invariant violation.  The twin
+    family l = 2k is the case k = 1 (coprimality forces it), labelled
+    Type (1) and surviving only for d = 2; the rest is Type (2),
+    surviving only for k = 2, d = 1.  In every other case two adjacent
     sheets are joined by a compressing disk meeting the knot twice.  A
-    PretzelKnot brings its canonical triple; a plain triple or (p, q, r)
-    tuple is normalized here.
+    PretzelKnot brings its canonical triple; a plain triple is
+    normalized here.
     """
-    if isinstance(triple, PretzelKnot):
-        canonical = triple.canonical
-    else:
-        canonical = canonical_entries(
-            triple.entries() if isinstance(triple, PretzelTriple) else triple)[0]
+    canonical = (triple.canonical if isinstance(triple, PretzelKnot)
+                 else canonical_entries(triple)[0])
     rebuilt = tuple(s if ty == TYPE_A else s - 1
                     for ty, s in zip(pattern.tangle_types, pattern.boundary_slopes))
     if rebuilt != canonical:
@@ -258,23 +254,16 @@ def final_filter(pattern: SurfacePattern, triple: PretzelTriple | PretzelKnot | 
         raise InvariantError(f"slopes {pattern.boundary_slopes} have no sign pattern (-,+,+)")
     a = -negatives[0]
     b, c = positives
-    m = gcd(a, b)
-    k, l = a // m, b // m
-    if l == 2 * k:
-        # coprimality forces k = 1, so d = m and the triple is (-d, 2d-1, 2d-1)
-        d = m
-        if c != k * l * d:
-            raise InvariantError(f"({a},{b},{c}) is not a reciprocal-sum solution")
+    d = gcd(a, b)
+    k, l = a // d, b // d
+    if l != k + 1 or c != k * l * d:
+        raise InvariantError(f"({a},{b},{c}) is not a solution with l = k + 1, c = kld")
+    if k == 1:
         if d == 2:
             return Verdict(True, None, "Type (1)")
         return Verdict(False, "d=2 required; compressing disk exists", "Type (1)")
-    if l == k + 1:
-        d = m
-        if c != k * l * d:
-            raise InvariantError(f"({a},{b},{c}) is not a reciprocal-sum solution")
-        if d != 1:
-            return Verdict(False, "d=1 required; compressing disk exists", "Type (2)")
-        if k != 2:
-            return Verdict(False, "k=2 required; compressing disk exists", "Type (2)")
-        return Verdict(True, None, "Type (2)")
-    return Verdict(False, "outside the two parametrized slope families", None)
+    if d != 1:
+        return Verdict(False, "d=1 required; compressing disk exists", "Type (2)")
+    if k != 2:
+        return Verdict(False, "k=2 required; compressing disk exists", "Type (2)")
+    return Verdict(True, None, "Type (2)")

@@ -26,7 +26,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError, ShapeError
 
@@ -64,16 +64,16 @@ class Sum:
     right: "TangleExpr"
 
 
-@dataclass(frozen=True)
-class PretzelTriple:
-    """Twist parameters (p, q, r) of a 3-strand pretzel diagram."""
+class PretzelTriple(NamedTuple):
+    """Twist parameters (p, q, r) of a 3-strand pretzel diagram; being
+    a tuple, it goes wherever a plain (p, q, r) tuple does."""
 
     p: int
     q: int
     r: int
 
     def entries(self) -> tuple[int, int, int]:
-        return (self.p, self.q, self.r)
+        return tuple(self)
 
     def mirrored(self) -> "PretzelTriple":
         return PretzelTriple(-self.p, -self.q, -self.r)
@@ -274,8 +274,7 @@ def _print_term(expression: TangleExpr) -> str:
     if isinstance(expression, RationalTangle):
         return str(expression.slope)
     if isinstance(expression, Pretzel):
-        p, q, r = expression.triple.entries()
-        return f"P({p},{q},{r})"
+        return "P(%d,%d,%d)" % expression.triple
     if isinstance(expression, Montesinos):
         return "M(" + ",".join(str(f) for f in expression.slopes) + ")"
     if isinstance(expression, Sum):
@@ -301,7 +300,7 @@ def canonical_entries(entries: tuple[int, int, int]) -> tuple[tuple[int, int, in
 
 def normalize_pretzel(triple: PretzelTriple) -> tuple[PretzelTriple, bool]:
     """canonical_entries of a triple, the canonical form as a PretzelTriple."""
-    canonical, mirror = canonical_entries(triple.entries())
+    canonical, mirror = canonical_entries(triple)
     return PretzelTriple(*canonical), mirror
 
 

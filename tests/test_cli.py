@@ -81,6 +81,31 @@ def test_json_output_validates(name, args):
     jsonschema.validate(json.loads(out), schema)
 
 
+class _CountingStream(io.StringIO):
+    """A text stream that counts its write calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+CHUNKED = [case for case in CASES if case[0] in ("lemma_15.txt", "lemma_15.json",
+                                                 "trace_m233.json")]
+
+
+@pytest.mark.parametrize("name,args", CHUNKED, ids=[name for name, _ in CHUNKED])
+def test_items_are_written_in_chunks(monkeypatch, name, args):
+    monkeypatch.setattr(pretzelrep.cli, "_ITEMS_PER_WRITE", 2)
+    out, err = _CountingStream(), io.StringIO()
+    assert run(args, out, err) == 0
+    assert out.getvalue() == (GOLDEN_DIR / name).read_text()
+    assert out.writes > 2  # at least two writes of items, then the tail
+
+
 def test_lemma_row_format():
     code, out, _ = run_cli(["lemma", "--max", "15"])
     assert code == 0

@@ -1,6 +1,7 @@
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import gcd
 
 import pytest
 
@@ -195,6 +196,15 @@ def test_final_filter_rejects_mismatched_triple():
         final_filter(pattern, PretzelTriple(-2, 3, 5))
 
 
+def test_final_filter_rejects_row_outside_the_consecutive_family():
+    # 1/6 = 1/10 + 1/15 solves the lemma with (k, l) = (3, 5), but no scan
+    # row has it: the denominator filter forces l = k + 1
+    verdict = Verdict(False, "synthetic", None)
+    row = SurfacePattern(("A", "B", "A"), (-6, 10, 15), 30, (5, 3, 2), 60, -20, 11, verdict)
+    with pytest.raises(InvariantError):
+        final_filter(row, (-6, 9, 15))
+
+
 _STRUCTURAL_REASONS = {
     "requires exactly one negative boundary slope",
     "boundary slopes fail 1/p' + 1/q' + 1/r' = 0",
@@ -269,7 +279,7 @@ def test_existence_verdicts_reject_unit_twists():
 
 def test_existence_verdicts_match_the_scan():
     values = [v for v in range(-25, 26) if abs(v) >= 2]
-    checked = 0
+    checked = structural = 0
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
@@ -279,7 +289,18 @@ def test_existence_verdicts_match_the_scan():
         expected = tuple(None if row.structural else row.verdict for row in rows)
         assert existence_verdicts(knot.canonical) == expected, entries
         checked += 1
+        for row in rows:
+            if row.structural:
+                # every structural row is in the consecutive family l = k + 1,
+                # and the twin family is its case k = 1
+                a = -min(row.boundary_slopes)
+                b = sorted(row.boundary_slopes)[1]
+                k, l = a // gcd(a, b), b // gcd(a, b)
+                assert l == k + 1, entries
+                assert (row.verdict.family == "Type (1)") is (k == 1), entries
+                structural += 1
     assert checked == 9800
+    assert structural == 32
 
 
 def _outcome(call, *args):
@@ -297,8 +318,8 @@ def test_library_calls_take_plain_tuples():
     outcomes = Counter()
     for entries in product(range(-6, 7), repeat=3):
         triple = PretzelTriple(*entries)
-        for call in (scannable_knot, scan_assignments, enumerate_patterns, is_knot,
-                     torus_pretzel):
+        for call in (pretzel_knot, scannable_knot, scan_assignments, enumerate_patterns,
+                     is_knot, torus_pretzel):
             result = _outcome(call, entries)
             assert result == _outcome(call, triple), (call.__name__, entries)
             outcomes[call.__name__, result[0] if isinstance(result, tuple) else "ok"] += 1
@@ -308,6 +329,8 @@ def test_library_calls_take_plain_tuples():
     # the box reaches every check: zero twists, unit twists, links, knots
     assert {kind for _, kind in outcomes} == {"ok", DegenerateTangleError, NotAKnotError}
     assert outcomes["scan_assignments", "ok"] > 0
+    # a PretzelTriple is itself a tuple, but the knot keeps a plain one
+    assert type(pretzel_knot(PretzelTriple(-2, 3, 5)).entries) is tuple
 
 
 RECIPROCAL_SUM_ROWS = (RECIPROCAL_SUM,) * 8
