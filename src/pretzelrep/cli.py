@@ -59,7 +59,7 @@ _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
 # largest lemma --max: about 2.5 s and 131 MB, as text or JSON
 LEMMA_MAX = 200_000
-# widest classify --range box, e.g. -60:60: about 1.2 s as text, 3.4 s as JSON
+# widest classify --range box, e.g. -60:60: about 1.0 s as text, 3.0 s as JSON
 RANGE_MAX_WIDTH = 121
 
 
@@ -194,17 +194,21 @@ def _classify_range(spec: str, as_json: bool, out) -> None:
     triples, and the JSON array's brackets and commas are written here.
     """
     low, high = _range_bounds(spec)
-    if as_json:
-        render = _range_report
-        lead, separator, close, empty = "[\n  ", ",\n  ", "\n]\n", "[]\n"
-    else:
-        render = _range_line
-        lead, separator, close, empty = "", "\n", "\n", ""
-    written = False
+    if not as_json:
+        for entries in _knot_triples(low, high):
+            report = representativity_bounds(pretzel_knot(entries))
+            seen = _LINES.get(id(report))
+            if seen is None:
+                seen = _LINES[id(report)] = (report, _range_template(report))
+            out.write(seen[1] % entries)
+        return
+    lead = "[\n  "
     for entries in _knot_triples(low, high):
-        out.write(lead + render(entries))
-        lead, written = separator, True
-    out.write(close if written else empty)
+        knot = pretzel_knot(entries)
+        out.write(lead + _report_json("P(%d,%d,%d)" % entries, None, knot,
+                                      representativity_bounds(knot), "  "))
+        lead = ",\n  "
+    out.write("[]\n" if lead == "[\n  " else "\n]\n")
 
 
 def _knot_triples(low: int, high: int):
@@ -221,35 +225,23 @@ def _knot_triples(low: int, high: int):
                     yield a, b, c
 
 
-# the text after P(a,b,c) per report, by identity (each entry holds its report)
-_SUFFIXES: dict[int, tuple[RepReport, str]] = {}
+# the text line template per report, by identity (each entry holds its report)
+_LINES: dict[int, tuple[RepReport, str]] = {}
 
 
-def _range_line(entries: tuple[int, int, int]) -> str:
-    report = representativity_bounds(pretzel_knot(entries))
-    seen = _SUFFIXES.get(id(report))
-    if seen is None:
-        seen = _SUFFIXES[id(report)] = (report, _range_suffix(report))
-    return "P(%d,%d,%d)" % entries + seen[1]
-
-
-def _range_report(entries: tuple[int, int, int]) -> str:
-    knot = pretzel_knot(entries)
-    return _report_json("P(%d,%d,%d)" % entries, None, knot, representativity_bounds(knot), "  ")
-
-
-def _range_suffix(report: RepReport) -> str:
+def _range_template(report: RepReport) -> str:
+    """The text line of a range report, with a %d field for each entry."""
     if report.exact is not None:
-        suffix = f"  r={report.exact} exact"
+        line = f"P(%d,%d,%d)  r={report.exact} exact"
     else:
-        suffix = f"  r in [{report.lower},{report.upper}]"
+        line = f"P(%d,%d,%d)  r in [{report.lower},{report.upper}]"
     if report.torus is not None:
         if report.torus.params is not None:
             p, q = report.torus.params
-            suffix += f"  torus=({p},{q})"
+            line += f"  torus=({p},{q})"
         else:
-            suffix += "  torus=yes"
-    return suffix
+            line += "  torus=yes"
+    return line + "\n"
 
 
 def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
@@ -412,18 +404,18 @@ def _report_json(input_text: str, expression: TangleExpr | None,
         verdicts = existence_verdicts(knot.canonical)
     except DegenerateTangleError:  # a unit twist has no scan rows
         verdicts = None
-    if verdicts is None or None in verdicts:
-        fields = (_ints(knot.canonical, pad + "  "), _scalar(knot.mirror), "true", "null")
-        surfaces = "null" if verdicts is None else _array(
-            [_row_json(row, pad + "    ") for row in scan_assignments(knot)], pad + "  ")
-        return _fill_report(_quote(input_text), kind, fields, report, surfaces, pad)
-    a, b, c = knot.canonical
     key = (id(report), id(verdicts), kind, knot.mirror, pad)
     seen = _REJECTED_REPORTS.get(key)
-    if seen is None:
+    if seen is None:  # only rejected-only verdicts are cached, so test them on a miss
+        if verdicts is None or None in verdicts:
+            fields = (_ints(knot.canonical, pad + "  "), _scalar(knot.mirror), "true", "null")
+            surfaces = "null" if verdicts is None else _array(
+                [_row_json(row, pad + "    ") for row in scan_assignments(knot)], pad + "  ")
+            return _fill_report(_quote(input_text), kind, fields, report, surfaces, pad)
         fields = (_ints(["%d"] * 3, pad + "  "), _scalar(knot.mirror), "true", "null")
         seen = _REJECTED_REPORTS[key] = (report, verdicts, _fill_report(
             "%s", kind, fields, report, _rejected_rows(verdicts, pad + "  "), pad))
+    a, b, c = knot.canonical
     return seen[2] % (_quote(input_text), *_REPORT_INTS((a, b, c, a + 1, b + 1, c + 1)))
 
 

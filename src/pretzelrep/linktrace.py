@@ -161,14 +161,15 @@ def is_knot(triple: tuple[int, int, int]) -> bool:
     return component_count(pretzel_diagram(triple)) == 1
 
 
-def knot_components(entries: Sequence[int]) -> int:
+def knot_components(entries: tuple[int, int, int]) -> int:
     """Components of the 3-strand pretzel link with these nonzero twists,
-    in closed form: one per even entry, or a single one when no entry is
-    even.  The test suite checks this against full tracing."""
-    return max(1, [e % 2 for e in entries].count(0))
+    in closed form: one per even entry (e & 1 == 0), or a single one when
+    no entry is even.  The test suite checks this against full tracing."""
+    p, q, r = entries
+    return max(1, 3 - (p & 1) - (q & 1) - (r & 1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PretzelKnot:
     """A pretzel triple checked to be a knot, with its canonical form.
 
@@ -193,4 +194,5 @@ def pretzel_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
     components = knot_components(entries)
     if components != 1:
         raise NotAKnotError(f"not a knot ({components} components)")
-    return PretzelKnot(entries, *canonical_entries(entries))
+    canonical, mirror = canonical_entries(entries)
+    return PretzelKnot(entries, canonical, mirror)

@@ -118,16 +118,6 @@ _RULE_SETS = {
 }
 _TORUS_RULE = AppliedRule("torus-knot-identification", _CITE_TORUS)
 
-# torus data keyed by (canonical triple, mirror)
-_TORUS = {
-    ((-2, 3, 3), False): TorusInfo((3, 4)),
-    ((-2, 3, 3), True): TorusInfo((3, -4)),
-    ((-2, 3, 5), False): TorusInfo((3, 5)),
-    ((-2, 3, 5), True): TorusInfo((3, -5)),
-    ((1, 1, 1), False): TorusInfo(None),
-    ((1, 1, 1), True): TorusInfo(None),
-}
-
 
 def _rule_set(entries: tuple[int, int, int], canonical: tuple[int, int, int]) -> str:
     if 1 in entries or -1 in entries:
@@ -135,12 +125,23 @@ def _rule_set(entries: tuple[int, int, int], canonical: tuple[int, int, int]) ->
     return "exactly-three" if canonical in _EXACTLY_THREE else "at-most-two"
 
 
-# every pretzel knot's report, built once and shared, keyed by rule set
-# and torus data; (1,1,1) and its mirror share one
-_REPORTS = {(name, None): report for name, report in _RULE_SETS.items()} | {
-    (name, torus): replace(_RULE_SETS[name], rules=_RULE_SETS[name].rules + (_TORUS_RULE,),
-                           torus=torus)
-    for name, torus in ((_rule_set(c, c), torus) for (c, _), torus in _TORUS.items())}
+def _torus_report(canonical: tuple[int, int, int], torus: TorusInfo) -> RepReport:
+    base = _RULE_SETS[_rule_set(canonical, canonical)]
+    return replace(base, rules=base.rules + (_TORUS_RULE,), torus=torus)
+
+
+# the torus knots' reports, built once and keyed by (canonical triple,
+# mirror), where (1,1,1) and its mirror share one; every other pretzel
+# knot shares its rule set's report
+_TREFOIL = _torus_report((1, 1, 1), TorusInfo(None))
+_TORUS_REPORTS = {
+    ((-2, 3, 3), False): _torus_report((-2, 3, 3), TorusInfo((3, 4))),
+    ((-2, 3, 3), True): _torus_report((-2, 3, 3), TorusInfo((3, -4))),
+    ((-2, 3, 5), False): _torus_report((-2, 3, 5), TorusInfo((3, 5))),
+    ((-2, 3, 5), True): _torus_report((-2, 3, 5), TorusInfo((3, -5))),
+    ((1, 1, 1), False): _TREFOIL,
+    ((1, 1, 1), True): _TREFOIL,
+}
 
 
 def torus_pretzel(triple: tuple[int, int, int]) -> TorusInfo | None:
@@ -148,7 +149,8 @@ def torus_pretzel(triple: tuple[int, int, int]) -> TorusInfo | None:
     entries = tuple(triple)  # a plain tuple, so the message prints (p, q, r)
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
-    return _TORUS.get(canonical_entries(entries))
+    report = _TORUS_REPORTS.get(canonical_entries(entries))
+    return None if report is None else report.torus
 
 
 def tangle_string_bound(string_number: int) -> int:
@@ -200,8 +202,8 @@ def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
 
 
 def _classify_pretzel(knot: PretzelKnot) -> RepReport:
-    canonical = knot.canonical
-    return _REPORTS[_rule_set(knot.entries, canonical), _TORUS.get((canonical, knot.mirror))]
+    report = _TORUS_REPORTS.get((knot.canonical, knot.mirror))
+    return _RULE_SETS[_rule_set(knot.entries, knot.canonical)] if report is None else report
 
 
 def _classify_closure(expression: Closure) -> RepReport:

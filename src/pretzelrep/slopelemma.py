@@ -62,9 +62,9 @@ def enumerate_solutions(max_c: int) -> list[tuple[int, int, int, int, int, int]]
     """
     rows = []
     k = 1
-    # smallest c for a given k is k(k+1) via l = k+1, d = 1
+    # c = kld is at least k(k+1), and an l with kl > max_c has no row
     while k * (k + 1) <= max_c:
-        for l in range(k + 1, 2 * k + 1):
+        for l in range(k + 1, min(2 * k, max_c // k) + 1):
             if gcd(k, l) != 1:
                 continue
             a, b, c = parametrize(k, l, 1)

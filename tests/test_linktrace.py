@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
@@ -92,8 +93,16 @@ def test_tracing_matches_parity_window():
 def test_fast_parity_helper_matches_tracing():
     values = [v for v in range(-4, 5) if v != 0]
     for entries in product(values, repeat=3):
-        traced = component_count(pretzel_diagram(entries)) == 1
-        assert (knot_components(entries) == 1) is traced
+        assert knot_components(entries) == component_count(pretzel_diagram(entries)), entries
+
+
+def test_pretzel_knot_is_a_frozen_slotted_object():
+    knot = pretzel_knot((2, -3, -5))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        knot.mirror = False
+    assert not hasattr(knot, "__dict__")
+    assert not isinstance(knot, tuple)
+    assert (knot.entries, knot.canonical, knot.mirror) == ((2, -3, -5), (-2, 3, 5), True)
 
 
 def test_reversal_and_mirror_preserve_components():

@@ -19,6 +19,7 @@ import pytest
 from pretzelrep import (
     DegenerateTangleError,
     PretzelTriple,
+    Verdict,
     canonical_entries,
     enumerate_patterns,
     enumerate_solutions,
@@ -247,6 +248,22 @@ def test_range_streams_one_report_at_a_time(flags):
     chunks = [c for c in out.chunks if c]
     assert len(chunks) >= reports
     assert max(len(c) for c in chunks) <= 64 * 1024
+
+
+def test_cached_range_json_compares_no_verdicts(monkeypatch):
+    # 7:15 has no unit twist and no structural row: once its templates
+    # are cached, no verdict is compared
+    calls = []
+    eq = Verdict.__eq__
+
+    def counted(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    first = run_cli(["classify", "--range", "7:15", "--json"])
+    monkeypatch.setattr(Verdict, "__eq__", counted)
+    assert run_cli(["classify", "--range", "7:15", "--json"]) == first
+    assert calls == []
 
 
 def test_range_matches_single_classify():

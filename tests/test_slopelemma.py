@@ -131,3 +131,16 @@ def test_condition_two_needs_numerator_above_one():
 def test_single_disk_slope_satisfies_condition_one():
     for m in range(1, 201):
         assert slope_condition(m, Fraction(1, m + 1)) == SlopeCondition.CONDITION_I
+
+
+def test_enumeration_parametrizes_only_pairs_with_rows(monkeypatch):
+    # a pair (k, l) with kl > max_c gives no row, so it is never parametrized
+    calls = []
+
+    def counted(k, l, d):
+        calls.append((k, l, d))
+        return parametrize(k, l, d)
+
+    monkeypatch.setattr(slopelemma, "parametrize", counted)
+    assert [row[:3] for row in enumerate_solutions(300)] == brute_force_solutions(300)
+    assert calls and all(k * l <= 300 for k, l, _ in calls)
