@@ -531,7 +531,7 @@ def _cmd_lemma(args, out) -> None:
         out.write("[]\n")
 
 
-# lemma and trace --json write their rows this many at a time, under 600 KB
+# lemma and trace write their rows this many at a time, under 600 KB
 _ITEMS_PER_WRITE = 8192
 
 
@@ -555,9 +555,9 @@ def _cmd_trace(args, out) -> None:
     components = component_count(code)
     crossings = code.crossings
     if not args.json:
-        # json encodes the crossing tuples as it would lists
-        out.write(f"crossings: {len(crossings)}\ncomponents: {components}\n"
-                  f"pd: {json.dumps(crossings, separators=(',', ':'))}\n")
+        # the pd line as json.dumps(separators=(",", ":")) writes it
+        _write_items(out, f"crossings: {len(crossings)}\ncomponents: {components}\npd: [",
+                     "[%d,%d,%d,%d]", crossings, ",", "]\n")
         return
     # the pd array, never empty, closes the object; its items go where %s is
     head, tail = (_TRACE % (_ints(twists, "  "), len(crossings), components,

@@ -30,7 +30,7 @@ from .tanglecalc import canonical_entries
 __all__ = ["MAX_CROSSINGS", "PDCode", "PretzelKnot", "diagram_twists", "pretzel_diagram",
            "component_count", "is_knot", "knot_components", "pretzel_knot"]
 
-# trace at this size: about 6 s and 465 MB, as text or JSON
+# trace at this size: about 4.5 s and 465 MB, as text or JSON
 MAX_CROSSINGS = 2_000_000
 
 
@@ -74,22 +74,20 @@ def pretzel_diagram(twists: Sequence[int]) -> PDCode:
     next_arc = 2 * n + 1
 
     crossings: list[tuple[int, int, int, int]] = []
+    add = crossings.append
     for i, t in enumerate(twists):
-        left, right = top[(i - 1) % n], top[i]
-        count = abs(t)
-        for j in range(count):
-            if j < count - 1:
-                out_left, out_right = next_arc, next_arc + 1
-                next_arc += 2
-            else:
-                out_left, out_right = bottom[(i - 1) % n], bottom[i]
-            if t > 0:
-                # under-strand runs top-left to bottom-right
-                crossings.append((left, out_left, out_right, right))
-            else:
-                # under-strand runs top-right to bottom-left
-                crossings.append((right, left, out_left, out_right))
+        # index i - 1 wraps to the last region at i = 0; every crossing but
+        # the last leads into two new arcs.  The under-strand runs top-left
+        # to bottom-right when t > 0, top-right to bottom-left otherwise
+        left, right = top[i - 1], top[i]
+        stop = next_arc + 2 * abs(t) - 2
+        for out_left in range(next_arc, stop, 2):
+            out_right = out_left + 1  # one int object for both crossings that use it
+            add((left, out_left, out_right, right) if t > 0 else (right, left, out_left, out_right))
             left, right = out_left, out_right
+        out_left, out_right = bottom[i - 1], bottom[i]
+        add((left, out_left, out_right, right) if t > 0 else (right, left, out_left, out_right))
+        next_arc = stop
     return PDCode(tuple(crossings))
 
 
@@ -104,12 +102,10 @@ def component_count(code: PDCode) -> int:
     if not crossings:
         return 0
     size = 2 * len(crossings)
-    # the default serves a code of empty crossings, which the slot check below rejects
-    low = min(chain.from_iterable(crossings), default=1)
-    high = max(chain.from_iterable(crossings), default=1)
-    if low < 1 or high > size:
-        raise InvalidPDCodeError(
-            f"arc {low if low < 1 else high} is outside the labels 1..{size}")
+    # a label below 1 would index uses and parent from the end, so it is
+    # checked here; a label above 2n raises IndexError in the loop
+    if min(chain.from_iterable(crossings), default=1) < 1:
+        raise _invalid_code(crossings, size)
 
     uses = bytearray(size + 1)
     parent = list(range(size + 1))
@@ -136,16 +132,20 @@ def component_count(code: PDCode) -> int:
             if b != d:
                 parent[b] = d
                 merges += 1
-    except ValueError:  # a crossing without four slots, or a byte count past 255
-        raise _misused_label(crossings) from None
+    except (ValueError, IndexError):  # not four slots, a count past 255, a label above 2n
+        raise _invalid_code(crossings, size) from None
     if uses.count(2) != size:
-        raise _misused_label(crossings)
+        raise _invalid_code(crossings, size)
     return size - merges
 
 
-def _misused_label(crossings) -> InvalidPDCodeError:
-    """The error for a code whose labels lie in 1..2n but are not each
-    used exactly twice."""
+def _invalid_code(crossings, size: int) -> InvalidPDCodeError:
+    """The error for an invalid code of size = 2n labels: a label outside
+    1..2n first, then a crossing without four slots, then a label not used twice."""
+    low = min(chain.from_iterable(crossings), default=1)
+    high = max(chain.from_iterable(crossings), default=1)
+    if low < 1 or high > size:
+        return InvalidPDCodeError(f"arc {low if low < 1 else high} is outside the labels 1..{size}")
     for index, crossing in enumerate(crossings):
         if len(crossing) != 4:
             return InvalidPDCodeError(f"crossing {index} has {len(crossing)} slots, expected 4")

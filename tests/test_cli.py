@@ -94,7 +94,7 @@ class _CountingStream(io.StringIO):
 
 
 CHUNKED = [case for case in CASES if case[0] in ("lemma_15.txt", "lemma_15.json",
-                                                 "trace_m233.json")]
+                                                 "trace_m233.txt", "trace_m233.json")]
 
 
 @pytest.mark.parametrize("name,args", CHUNKED, ids=[name for name, _ in CHUNKED])

@@ -214,6 +214,11 @@ MALFORMED = [
     ("empty last crossing", ((1, 2, 2, 1), ()), "crossing 1 has 0 slots, expected 4"),
     ("empty first crossing", ((), (1, 2, 2, 1)), "crossing 0 has 0 slots, expected 4"),
     ("no labels", ((),), "crossing 0 has 0 slots, expected 4"),
+    # a label below 1 would index the tracer's tables from the end
+    ("label -1", ((1, 2, -1, 1),), "arc -1 is outside the labels 1..2"),
+    ("label -3", ((1, 2, -3, 1),), "arc -3 is outside the labels 1..2"),
+    ("label 10**30", ((1, 2, 10 ** 30, 1),), f"arc {10 ** 30} is outside the labels 1..2"),
+    ("label -10**30", ((1, 2, -10 ** 30, 1),), f"arc {-10 ** 30} is outside the labels 1..2"),
 ]
 
 
@@ -223,6 +228,78 @@ def test_malformed_labels_rejected(crossings, message):
     with pytest.raises(InvalidPDCodeError) as info:
         component_count(PDCode(crossings))
     assert str(info.value) == message
+
+
+def _contract_message(crossings):
+    """The error message the PD code contract gives these crossings, or
+    None for a valid code: every label in 1..2n, four slots to a
+    crossing, every label used exactly twice, checked in that order."""
+    size = 2 * len(crossings)
+    labels = [label for crossing in crossings for label in crossing]
+    if any(not 1 <= label <= size for label in labels):
+        low, high = min(labels), max(labels)
+        return f"arc {low if low < 1 else high} is outside the labels 1..{size}"
+    for index, crossing in enumerate(crossings):
+        if len(crossing) != 4:
+            return f"crossing {index} has {len(crossing)} slots, expected 4"
+    counts = Counter(labels)
+    if any(counts[arc] != 2 for arc in range(1, size + 1)):
+        # named by the first slot whose label has the wrong count
+        arc = next(label for label in labels if counts[label] != 2)
+        return f"arc {arc} appears {counts[arc]} times, expected exactly 2"
+    return None
+
+
+def _strand_components(crossings):
+    """Components of a valid code by depth-first search over the arcs,
+    each crossing joining slots 0 with 2 and 1 with 3."""
+    neighbours = {arc: [] for crossing in crossings for arc in crossing}
+    for a, b, c, d in crossings:
+        neighbours[a].append(c)
+        neighbours[c].append(a)
+        neighbours[b].append(d)
+        neighbours[d].append(b)
+    seen, components = set(), 0
+    for arc in neighbours:
+        if arc not in seen:
+            components += 1
+            stack = [arc]
+            while stack:
+                here = stack.pop()
+                if here not in seen:
+                    seen.add(here)
+                    stack.extend(neighbours[here])
+    return components
+
+
+def test_component_count_follows_the_contract_on_random_codes():
+    rng = Random(2024)
+    valid = 0
+    for _ in range(20_000):
+        n = rng.randint(1, 4)
+        size = 2 * n
+        if rng.random() < 0.5:
+            # each label twice, so only a slot count can be off
+            labels = [*range(1, size + 1)] * 2
+            rng.shuffle(labels)
+        else:
+            low, high = (1, size) if rng.random() < 0.5 else (-size - 2, size + 2)
+            labels = [rng.randint(low, high) for _ in range(5 * n)]
+        crossings = []
+        for _ in range(n):
+            slots = rng.choice((3, 5)) if rng.random() < 0.1 else 4
+            crossings.append(tuple(labels[:slots]))
+            del labels[:slots]
+        crossings = tuple(crossings)
+        expected = _contract_message(crossings)
+        if expected is None:
+            valid += 1
+            assert component_count(PDCode(crossings)) == _strand_components(crossings), crossings
+        else:
+            with pytest.raises(InvalidPDCodeError) as info:
+                component_count(PDCode(crossings))
+            assert str(info.value) == expected, crossings
+    assert valid > 1000, valid
 
 
 def test_empty_code_has_no_components():

@@ -342,15 +342,16 @@ def test_trace_matches_list_rendering(flags):
         assert run_cli(["trace", text, *flags]) == old_trace(entries, bool(flags)), entries
 
 
-def test_trace_json_is_written_in_bounded_chunks():
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "text"])
+def test_trace_is_written_in_bounded_chunks(flags):
     # 16,384 crossings fill two writes exactly; 30,002 (1.9 MB of JSON)
     # end in a partial one
     for entries in [(-2, 3, 16379), (-2, 3, 29997)]:
         out = Chunks()
-        run_cli(["trace", "P({},{},{})".format(*entries), "--json"], out)
+        run_cli(["trace", "P({},{},{})".format(*entries), *flags], out)
         assert len(out.chunks) > 2
         assert max(len(c) for c in out.chunks) <= 600_000
-        assert "".join(out.chunks) == old_trace(entries, True), entries
+        assert "".join(out.chunks) == old_trace(entries, bool(flags)), entries
 
 
 def test_lemma_text_matches_print_per_line():
