@@ -271,16 +271,17 @@ def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
     for rule in report.rules:
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
     if knot is not None:
-        rows = _surface_rows(knot)
-        if rows is None:
+        try:
+            rows = scan_assignments(knot)
+        except DegenerateTangleError:
             lines.append("surfaces: not computed (degenerate twist parameters)")
+            return lines
+        structural = [row for row in rows if row.structural]
+        if structural:
+            lines.append("surfaces:")
+            lines.extend(f"  {_row_text(row)}" for row in structural)
         else:
-            structural = [row for row in rows if row.structural]
-            if structural:
-                lines.append("surfaces:")
-                lines.extend(f"  {_row_text(row)}" for row in structural)
-            else:
-                lines.append("surfaces: none")
+            lines.append("surfaces: none")
     return lines
 
 
@@ -296,139 +297,118 @@ def _effect_text(rule) -> str:
     return effect
 
 
-def _surface_rows(knot: PretzelKnot) -> list[SurfacePattern] | None:
-    try:
-        return scan_assignments(knot)
-    except DegenerateTangleError:
-        return None
-
-
 # --- JSON templates ---
 #
-# _object() builds, from a key list in docs/schemas/ order, the text
-# json.dumps(obj, indent=2) writes for one object at nesting depth 0,
-# with a %-field for each value; _at() shifts a template to the depth
-# where the object sits.  Nested values arrive already rendered at their
-# own depth.
+# json.dumps lays out every JSON output.  Each output shape (a report,
+# a surfaces object, a lemma row, the trace object, a crossing) is
+# dumped once with "%d" or "%s" strings where its values go, and each
+# output is one % fill of that template.
+
+
+def _template(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2) as a %-template, every line after the
+    first indented by pad: each string that is exactly "%d" or "%s"
+    becomes that field, and every other % is doubled."""
+    text = json.dumps(obj, indent=2).replace("%", "%%")
+    # an unescaped quote before %% opens a string, so the match is a whole string
+    return re.sub(r'(?<!\\)"%%([ds])"', r"%\1", text).replace("\n", "\n" + pad)
+
+
+def _row(types: tuple[str, ...], verdict: Verdict, structural: bool) -> dict:
+    """A scan row with a %d field for each slope and, in a structural
+    row, for arcs, each sheet, chi and genus."""
+    measure = "%d" if structural else None
+    return {"types": "".join(types), "slopes": ["%d"] * 3, "arcs": measure,
+            "sheets": ["%d"] * 3 if structural else None, "chi": measure, "genus": measure,
+            "structural": structural, "verdict": "accepted" if verdict.accepted else "rejected",
+            "family": verdict.family, "reason": verdict.reason}
+
+
+def _scan_fields(rows: list[SurfacePattern]) -> tuple[tuple, list[int]]:
+    """The (types, verdict, structural) shape of each scan row, and the
+    values of the rows' %d fields in template order."""
+    values = []
+    for row in rows:
+        values += row.boundary_slopes
+        if row.structural:
+            values += (row.arcs, *row.sheets, row.chi, row.genus_val)
+    return tuple((row.tangle_types, row.verdict, row.structural) for row in rows), values
 
 
 @cache
-def _at(template: str, pad: str) -> str:
-    """The template with every line after the first indented by pad."""
-    return template.replace("\n", "\n" + pad)
-
-
-def _scalar(value) -> str:
-    """JSON text of None, a bool, an int or a str, as json.dumps writes it."""
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return _quote(value)
-    return str(value)
+def _report_template(report: RepReport, kind: str, mirror: bool | None,
+                     large_algebraic: bool | None, shapes: tuple | None, pad: str) -> str:
+    """A classify report with a %s field for the input and, for a knot
+    (mirror not None), a %d field for each canonical entry, then those
+    of the scan rows with the given shapes; shapes is None when the
+    report has no scan."""
+    knot = mirror is not None
+    torus = report.torus
+    return _template({
+        "input": "%s", "kind": kind, "normalized": ["%d"] * 3 if knot else None,
+        "mirror": mirror, "is_knot": True if knot else None,
+        "large_algebraic": large_algebraic, "bridge_upper": report.bridge_upper,
+        "torus": None if torus is None else {
+            "params": None if torus.params is None else list(torus.params)},
+        "lower": report.lower, "upper": report.upper, "exact": report.exact,
+        "rules": [{"name": rule.name, "citation": rule.citation, "sets": rule.sets,
+                   "value": rule.value, "conditional": rule.conditional}
+                  for rule in report.rules],
+        "surfaces": None if shapes is None else [_row(*shape) for shape in shapes],
+    }, pad)
 
 
 @cache
-def _constant(text: str | None) -> str:
-    """_scalar of one of the package's fixed reason or family texts."""
-    return _scalar(text)
+def _surfaces_template(mirror: bool, shapes: tuple) -> str:
+    """A surfaces object with a %s field for the input and a %d field
+    for each canonical entry, then those of the rows."""
+    return _template({"input": "%s", "normalized": ["%d"] * 3, "mirror": mirror,
+                      "rows": [_row(*shape) for shape in shapes]}, "")
 
 
-def _array(items: list[str], pad: str) -> str:
-    """JSON array of rendered items, its opening bracket at indent pad."""
-    if not items:
-        return "[]"
-    inner = "\n" + pad + "  "
-    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+_LEMMA_ROW = _template(dict.fromkeys(("a", "b", "c", "k", "l", "d"), "%d"), "  ")
+# the trace object before and after its pd items, which are written in chunks;
+# a diagram has at least one crossing, so the pd array is never empty
+_TRACE_HEAD, _TRACE_TAIL = _template({"twists": ["%d"] * 3, "crossings": "%d",
+                                      "components": "%d", "pd": ["%s"]}, "").split("%s")
+_CROSSING = _template(["%d"] * 4, "    ")
 
-
-def _ints(values, pad: str) -> str:
-    return "null" if values is None else _array([str(v) for v in values], pad)
-
-
-def _object(keys: str, **values: str) -> str:
-    """Template of an object with the space-separated keys; a value is a
-    %s field unless values gives its own template, written at depth 1."""
-    fields = [f'"{key}": {values.get(key, "%s")}' for key in keys.split()]
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
-
-
-_TEXT = '"%s"'  # a value the render call passes as the bare string
-
-_REPORT = _object("input kind normalized mirror is_knot large_algebraic bridge_upper "
-                  "torus lower upper exact rules surfaces", kind=_TEXT)
-_TORUS = _object("params")
-_RULE = _object("name citation sets value conditional")
-_SURFACES = _object("input normalized mirror rows")
-_ROW = _object("types slopes arcs sheets chi genus structural verdict family reason",
-               types=_TEXT, slopes=_array(["%s"] * 3, "  "), verdict=_TEXT)
-_LEMMA_ROW = _object("a b c k l d")
-_TRACE = _object("twists crossings components pd")
-_CROSSING = _array(["%d"] * 4, "")
-
-# arcs, sheets, chi, genus and structural of a row that failed the
-# existence filters
-_UNMEASURED = ("null", "null", "null", "null", "false")
 # where p, q, r, then each slope of the eight rows, sit in (p, q, r, p+1, q+1, r+1)
 _REPORT_INTS = itemgetter(0, 1, 2, *[i + 3 * (ty == TYPE_B) for types in TYPINGS
                                      for i, ty in enumerate(types)])
 
-
-@cache
-def _rules_json(rules: tuple, pad: str) -> str:
-    """The rules block; a handful of distinct blocks cover every report."""
-    template = _at(_RULE, pad + "  ")
-    return _array([template % (_scalar(rule.name), _scalar(rule.citation),
-                               _scalar(rule.sets), _scalar(rule.value),
-                               _scalar(rule.conditional)) for rule in rules], pad)
-
-
-# the template of a report whose eight rows fail the existence filters, by
-# the identity of its report and verdicts, which are shared and held here
-_REJECTED_REPORTS: dict[tuple, tuple[RepReport, tuple, str]] = {}
+# the template of a report with no structural row, by the identity of its
+# report and verdicts (None for a unit twist), which are shared and held here
+_SHARED_REPORTS: dict[tuple, tuple[RepReport, tuple | None, str]] = {}
 
 
 def _report_json(input_text: str, expression: TangleExpr | None,
                  knot: PretzelKnot | None, report: RepReport, pad: str) -> str:
     """One classify report as JSON, its opening brace at indent pad; a
-    range report passes no expression.  A knot none of whose rows passes
-    the existence filters fills one cached template."""
+    range report passes no expression.  A knot with no structural row
+    fills a template found by identity; a knot with one is scanned."""
     if knot is None:
-        fields = ("null", "null", "null", _scalar(is_large_algebraic(expression)))
-        return _fill_report(_quote(input_text), "closure", fields, report, "null", pad)
+        return _report_template(report, "closure", None, is_large_algebraic(expression),
+                                None, pad) % _quote(input_text)
     kind = "montesinos" if isinstance(expression, Montesinos) else "pretzel"
     try:
         verdicts = existence_verdicts(knot.canonical)
     except DegenerateTangleError:  # a unit twist has no scan rows
         verdicts = None
     key = (id(report), id(verdicts), kind, knot.mirror, pad)
-    seen = _REJECTED_REPORTS.get(key)
-    if seen is None:  # only rejected-only verdicts are cached, so test them on a miss
-        if verdicts is None or None in verdicts:
-            fields = (_ints(knot.canonical, pad + "  "), _scalar(knot.mirror), "true", "null")
-            surfaces = "null" if verdicts is None else _array(
-                [_row_json(row, pad + "    ") for row in scan_assignments(knot)], pad + "  ")
-            return _fill_report(_quote(input_text), kind, fields, report, surfaces, pad)
-        fields = (_ints(["%d"] * 3, pad + "  "), _scalar(knot.mirror), "true", "null")
-        seen = _REJECTED_REPORTS[key] = (report, verdicts, _fill_report(
-            "%s", kind, fields, report, _rejected_rows(verdicts, pad + "  "), pad))
+    seen = _SHARED_REPORTS.get(key)
+    if seen is None:  # only verdicts with no structural row are shared, so test them on a miss
+        if verdicts is not None and None in verdicts:
+            shapes, values = _scan_fields(scan_assignments(knot))
+            return _report_template(report, kind, knot.mirror, None, shapes, pad) % (
+                _quote(input_text), *knot.canonical, *values)
+        shapes = None if verdicts is None else tuple(
+            (types, v, False) for types, v in zip(TYPINGS, verdicts))
+        seen = _SHARED_REPORTS[key] = (report, verdicts, _report_template(
+            report, kind, knot.mirror, None, shapes, pad))
     a, b, c = knot.canonical
-    return seen[2] % (_quote(input_text), *_REPORT_INTS((a, b, c, a + 1, b + 1, c + 1)))
-
-
-def _fill_report(input_json: str, kind: str, fields: tuple, report: RepReport,
-                 surfaces: str, pad: str) -> str:
-    """_REPORT at indent pad; fields renders normalized to large_algebraic."""
-    inner = pad + "  "
-    torus = "null" if report.torus is None else (
-        _at(_TORUS, inner) % _ints(report.torus.params, inner + "  "))
-    return _at(_REPORT, pad) % (
-        input_json, kind, *fields, _scalar(report.bridge_upper), torus,
-        report.lower, report.upper, _scalar(report.exact),
-        _rules_json(report.rules, inner), surfaces)
+    ints = (a, b, c) if verdicts is None else _REPORT_INTS((a, b, c, a + 1, b + 1, c + 1))
+    return seen[2] % (_quote(input_text), *ints)
 
 
 # --- surfaces ---
@@ -438,9 +418,9 @@ def _cmd_surfaces(args, out) -> None:
     knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
     rows = scan_assignments(knot)
     if args.json:
-        out.write(_SURFACES % (_quote(args.expr), _ints(knot.canonical, "  "),
-                               _scalar(knot.mirror),
-                               _array([_row_json(row, "    ") for row in rows], "  ")) + "\n")
+        shapes, values = _scan_fields(rows)
+        out.write(_surfaces_template(knot.mirror, shapes) % (
+            _quote(args.expr), *knot.canonical, *values) + "\n")
         return
     if args.csv:
         table = csv_writer(out, lineterminator="\n")
@@ -492,28 +472,6 @@ def _row_csv(row: SurfacePattern) -> list:
             opt(row.verdict.family), opt(row.verdict.reason)]
 
 
-def _rejected_rows(verdicts: tuple[Verdict, ...], pad: str) -> str:
-    """The array of eight rows that failed the existence filters, with a
-    %d field for each slope; a few distinct blocks cover every range."""
-    row = _at(_ROW, pad + "  ")
-    return _array([row % ("".join(types), "%d", "%d", "%d", *_UNMEASURED, "rejected",
-                          _constant(v.family), _constant(v.reason))
-                   for types, v in zip(TYPINGS, verdicts)], pad)
-
-
-def _row_json(row: SurfacePattern, pad: str) -> str:
-    """One scan row as JSON, its opening brace at indent pad."""
-    if row.structural:
-        measures = (_scalar(row.arcs), _ints(row.sheets, pad + "  "),
-                    _scalar(row.chi), _scalar(row.genus_val), "true")
-    else:
-        measures = _UNMEASURED
-    return _at(_ROW, pad) % (
-        "".join(row.tangle_types), *row.boundary_slopes, *measures,
-        "accepted" if row.verdict.accepted else "rejected",
-        _constant(row.verdict.family), _constant(row.verdict.reason))
-
-
 # --- lemma ---
 
 
@@ -526,7 +484,7 @@ def _cmd_lemma(args, out) -> None:
     if not args.json:
         _write_items(out, "", "%d %d %d | k=%d l=%d d=%d\n", solutions, "", "")
     elif solutions:
-        _write_items(out, "[\n  ", _at(_LEMMA_ROW, "  "), solutions, ",\n  ", "\n]\n")
+        _write_items(out, "[\n  ", _LEMMA_ROW, solutions, ",\n  ", "\n]\n")
     else:
         out.write("[]\n")
 
@@ -559,10 +517,8 @@ def _cmd_trace(args, out) -> None:
         _write_items(out, f"crossings: {len(crossings)}\ncomponents: {components}\npd: [",
                      "[%d,%d,%d,%d]", crossings, ",", "]\n")
         return
-    # the pd array, never empty, closes the object; its items go where %s is
-    head, tail = (_TRACE % (_ints(twists, "  "), len(crossings), components,
-                            _array(["%s"], "  "))).split("%s")
-    _write_items(out, head, _at(_CROSSING, "    "), crossings, ",\n    ", tail + "\n")
+    _write_items(out, _TRACE_HEAD % (*twists, len(crossings), components), _CROSSING,
+                 crossings, ",\n    ", _TRACE_TAIL + "\n")
 
 
 # --- parse ---

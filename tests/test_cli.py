@@ -4,12 +4,16 @@ Regenerate the goldens after an intentional output change with
 
     python3 tests/test_cli.py --freeze
 
-and review the diff before committing.
+and review the diff before committing.  Check the installed console
+script against every golden with
+
+    python3 tests/test_cli.py --check-installed
 """
 
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -367,8 +371,25 @@ def _freeze():
         print(f"wrote {name} ({len(out)} bytes)")
 
 
+def _check_installed():
+    script = shutil.which("pretzelrep")
+    if script is None:
+        raise SystemExit("no pretzelrep script on PATH")
+    mismatches = []
+    for name, args in CASES:
+        child = subprocess.run([script, *args], capture_output=True, timeout=60)
+        if child.returncode != 0 or child.stdout != (GOLDEN_DIR / name).read_bytes():
+            print(f"mismatch: {name} (exit {child.returncode}, {' '.join(args)})")
+            mismatches.append(name)
+    if mismatches:
+        raise SystemExit(f"{len(mismatches)} of {len(CASES)} cases differ from their goldens")
+    print(f"all {len(CASES)} cases match their goldens through {script}")
+
+
 if __name__ == "__main__":
     if "--freeze" in sys.argv:
         _freeze()
+    elif "--check-installed" in sys.argv:
+        _check_installed()
     else:
         print(__doc__)

@@ -1,7 +1,7 @@
 """Streamed JSON output against json.dumps(obj, indent=2).
 
-The command line renders reports and scan rows from hand-written
-templates and streams a range report by report.  Here the expected
+The command line fills templates that json.dumps lays out once per
+output shape and streams a range report by report.  Here the expected
 output is built independently: dicts assembled from
 representativity_bounds and scan_assignments, encoded by json.dumps.
 The trace and lemma outputs are checked against their first rendering:
@@ -33,7 +33,8 @@ from pretzelrep import (
     run,
     scan_assignments,
 )
-from pretzelrep.cli import _report_json
+from pretzelrep import cli
+from pretzelrep.cli import _report_json, _report_template, _template
 from pretzelrep.linktrace import knot_components
 
 
@@ -173,6 +174,55 @@ def test_rejected_only_report_matches_json_dumps(canonical):
                 for pad in ("", "  "):
                     expected = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
                     assert _report_json(text, expression, knot, report, pad) == expected
+
+
+@pytest.mark.parametrize("pad", ["", "  "], ids=["pad0", "pad2"])
+def test_template_is_json_dumps_with_whole_string_fields(pad):
+    def expected(obj):
+        return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+    # no field: a literal %, a %d inside a longer string or after an
+    # escaped quote, nesting, None and bools all come out as json.dumps has them
+    plain = {"share": "100%", "inner": "x%dy", "tail": "%d ", "quoted": '"%d', "pair": "%s%s",
+             "nested": [[1, [None, True]], {"off": False, "none": None, "empty": []}], "e": {}}
+    assert _template(plain, pad) % () == expected(plain)
+    # the whole strings "%d" and "%s" are fields, wherever they sit
+    template = _template({"n": "%d", "list": [["%s", "%d%%"], "%d"], "text": "%%"}, pad)
+    assert template % (7, '"x"', -3) == expected(
+        {"n": 7, "list": [["x", "%d%%"], -3], "text": "%%"})
+
+
+# every JSON path of the command line but parse, whose tree has no fixed shape
+JSON_COMMANDS = [
+    ["classify", "--range", "-5:5", "--json"],
+    ["classify", "P(-2,3,5)", "--json"],
+    ["classify", "P(2,-3,-5)", "--json"],
+    ["classify", "M(1/3,1/5,1/7)", "--json"],
+    ["classify", "C((1/3+1/5)+(1/2+1/7))", "--json"],
+    ["classify", "P(1,3,5)", "--json"],
+    ["surfaces", "P(-2,3,5)", "--json"],
+    ["surfaces", "P(3,5,7)", "--json"],
+    ["trace", "P(-2,3,3)", "--json"],
+    ["lemma", "--max", "15", "--json"],
+]
+
+
+def test_templates_are_made_once_per_shape(monkeypatch):
+    monkeypatch.setattr(cli, "_SHARED_REPORTS", {})
+    _report_template.cache_clear()
+    run_cli(["classify", "--range", "-25:25", "--json"], Chunks())
+    assert _report_template.cache_info().currsize <= 64
+    first = [run_cli(args) for args in JSON_COMMANDS]
+    calls = []
+    encode = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counted)
+    assert [run_cli(args) for args in JSON_COMMANDS] == first
+    assert calls == []
 
 
 def test_empty_range_prints_empty_array():
