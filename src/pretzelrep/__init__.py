@@ -59,10 +59,10 @@ from .surfacescan import (
     Verdict,
     enumerate_patterns,
     euler_characteristic,
-    existence_verdicts,
     final_filter,
     genus,
     scan_assignments,
+    scan_fields,
     scannable_knot,
 )
 from .repclassify import (

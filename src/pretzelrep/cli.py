@@ -18,7 +18,6 @@ from bisect import bisect_left
 from csv import writer as csv_writer
 from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from typing import IO
 
 from .errors import (
@@ -37,8 +36,8 @@ from .linktrace import (
     pretzel_knot,
 )
 from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
-from .surfacescan import (TYPE_B, TYPINGS, SurfacePattern, Verdict, existence_verdicts,
-                          scan_assignments, scannable_knot)
+from .surfacescan import (SurfacePattern, Verdict, enumerate_patterns, scan_assignments,
+                          scan_fields, scannable_knot)
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
     Montesinos,
@@ -272,11 +271,10 @@ def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
     if knot is not None:
         try:
-            rows = scan_assignments(knot)
+            structural = enumerate_patterns(knot)
         except DegenerateTangleError:
             lines.append("surfaces: not computed (degenerate twist parameters)")
             return lines
-        structural = [row for row in rows if row.structural]
         if structural:
             lines.append("surfaces:")
             lines.extend(f"  {_row_text(row)}" for row in structural)
@@ -324,17 +322,6 @@ def _row(types: tuple[str, ...], verdict: Verdict, structural: bool) -> dict:
             "family": verdict.family, "reason": verdict.reason}
 
 
-def _scan_fields(rows: list[SurfacePattern]) -> tuple[tuple, list[int]]:
-    """The (types, verdict, structural) shape of each scan row, and the
-    values of the rows' %d fields in template order."""
-    values = []
-    for row in rows:
-        values += row.boundary_slopes
-        if row.structural:
-            values += (row.arcs, *row.sheets, row.chi, row.genus_val)
-    return tuple((row.tangle_types, row.verdict, row.structural) for row in rows), values
-
-
 @cache
 def _report_template(report: RepReport, kind: str, mirror: bool | None,
                      large_algebraic: bool | None, shapes: tuple | None, pad: str) -> str:
@@ -373,42 +360,30 @@ _TRACE_HEAD, _TRACE_TAIL = _template({"twists": ["%d"] * 3, "crossings": "%d",
                                       "components": "%d", "pd": ["%s"]}, "").split("%s")
 _CROSSING = _template(["%d"] * 4, "    ")
 
-# where p, q, r, then each slope of the eight rows, sit in (p, q, r, p+1, q+1, r+1)
-_REPORT_INTS = itemgetter(0, 1, 2, *[i + 3 * (ty == TYPE_B) for types in TYPINGS
-                                     for i, ty in enumerate(types)])
-
-# the template of a report with no structural row, by the identity of its
-# report and verdicts (None for a unit twist), which are shared and held here
+# the template of each knot report, by the identity of its report and its
+# scan shapes (None for a unit twist), which are shared and held here
 _SHARED_REPORTS: dict[tuple, tuple[RepReport, tuple | None, str]] = {}
 
 
 def _report_json(input_text: str, expression: TangleExpr | None,
                  knot: PretzelKnot | None, report: RepReport, pad: str) -> str:
     """One classify report as JSON, its opening brace at indent pad; a
-    range report passes no expression.  A knot with no structural row
-    fills a template found by identity; a knot with one is scanned."""
+    range report passes no expression.  A knot fills the template of its
+    report and scan shapes with its canonical triple and scan values."""
     if knot is None:
         return _report_template(report, "closure", None, is_large_algebraic(expression),
                                 None, pad) % _quote(input_text)
     kind = "montesinos" if isinstance(expression, Montesinos) else "pretzel"
     try:
-        verdicts = existence_verdicts(knot.canonical)
+        shapes, values = scan_fields(knot)
     except DegenerateTangleError:  # a unit twist has no scan rows
-        verdicts = None
-    key = (id(report), id(verdicts), kind, knot.mirror, pad)
+        shapes, values = None, ()
+    key = (id(report), id(shapes), kind, knot.mirror, pad)
     seen = _SHARED_REPORTS.get(key)
-    if seen is None:  # only verdicts with no structural row are shared, so test them on a miss
-        if verdicts is not None and None in verdicts:
-            shapes, values = _scan_fields(scan_assignments(knot))
-            return _report_template(report, kind, knot.mirror, None, shapes, pad) % (
-                _quote(input_text), *knot.canonical, *values)
-        shapes = None if verdicts is None else tuple(
-            (types, v, False) for types, v in zip(TYPINGS, verdicts))
-        seen = _SHARED_REPORTS[key] = (report, verdicts, _report_template(
+    if seen is None:
+        seen = _SHARED_REPORTS[key] = (report, shapes, _report_template(
             report, kind, knot.mirror, None, shapes, pad))
-    a, b, c = knot.canonical
-    ints = (a, b, c) if verdicts is None else _REPORT_INTS((a, b, c, a + 1, b + 1, c + 1))
-    return seen[2] % (_quote(input_text), *ints)
+    return seen[2] % (_quote(input_text), *knot.canonical, *values)
 
 
 # --- surfaces ---
@@ -416,12 +391,12 @@ def _report_json(input_text: str, expression: TangleExpr | None,
 
 def _cmd_surfaces(args, out) -> None:
     knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
-    rows = scan_assignments(knot)
     if args.json:
-        shapes, values = _scan_fields(rows)
+        shapes, values = scan_fields(knot)
         out.write(_surfaces_template(knot.mirror, shapes) % (
             _quote(args.expr), *knot.canonical, *values) + "\n")
         return
+    rows = scan_assignments(knot)
     if args.csv:
         table = csv_writer(out, lineterminator="\n")
         table.writerow(["types", "slope_1", "slope_2", "slope_3", "arcs",

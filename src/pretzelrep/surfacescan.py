@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import product
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import DegenerateTangleError, InvariantError
 from .linktrace import PretzelKnot, pretzel_knot
@@ -38,9 +39,9 @@ __all__ = [
     "Verdict",
     "SurfacePattern",
     "TYPINGS",
-    "existence_verdicts",
     "enumerate_patterns",
     "scan_assignments",
+    "scan_fields",
     "scannable_knot",
     "euler_characteristic",
     "genus",
@@ -92,10 +93,14 @@ _RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 _DENOMINATOR = Verdict(False, "common denominator exceeds the largest boundary slope")
 _SINGLE_DISK = Verdict(False, "single-disk region must meet the surface in one sheet")
 _PARALLEL_DISKS = Verdict(False, "parallel-disk region needs at least two sheets")
-_ALL_SIGN_PATTERN = (_SIGN_PATTERN,) * len(TYPINGS)
-_ALL_RECIPROCAL_SUM = (_RECIPROCAL_SUM,) * len(TYPINGS)
-# every other verdict tuple existence_verdicts has returned, kept once
-_VERDICTS: dict[tuple, tuple] = {}
+# the shapes of the eight rows when every row fails the sign pattern, or
+# every row the reciprocal sum, and where each row's slopes sit in
+# (p, q, r, p + 1, q + 1, r + 1)
+_ALL_SIGN_PATTERN = tuple((types, _SIGN_PATTERN, False) for types in TYPINGS)
+_ALL_RECIPROCAL_SUM = tuple((types, _RECIPROCAL_SUM, False) for types in TYPINGS)
+_SLOPES = itemgetter(*[i + 3 * (ty == TYPE_B) for types in TYPINGS for i, ty in enumerate(types)])
+# every other shapes tuple scan_fields has returned, kept once
+_SHAPES: dict[tuple, tuple] = {}
 
 
 def scannable_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
@@ -126,31 +131,6 @@ def _structural_reason(types, slopes) -> Verdict | None:
         if ty == TYPE_A and sheet < 2:
             return _PARALLEL_DISKS
     return None
-
-
-def existence_verdicts(canonical: tuple[int, int, int]) -> tuple[Verdict | None, ...]:
-    """The existence-filter verdict of each typing of a canonical triple
-    with no unit twist, in scan order; None for a structural row.
-
-    As every |m| >= 2, m + 1 has the sign of m: a triple without exactly
-    one negative entry fails the sign pattern in every row; with one,
-    every row meets the reciprocal sum next.  Returned tuples are shared.
-    """
-    if 1 in canonical or -1 in canonical:
-        raise DegenerateTangleError(f"unit twist in {canonical}")
-    p, q, r = canonical
-    if (p < 0) + (q < 0) + (r < 0) != 1:
-        return _ALL_SIGN_PATTERN
-    # x(y + z) + yz, the sum cleared of fractions, for x in (p, p + 1), ...
-    for y, z in ((q, r), (q, r + 1), (q + 1, r), (q + 1, r + 1)):
-        if p * (y + z) + y * z == 0 or (p + 1) * (y + z) + y * z == 0:
-            break
-    else:
-        return _ALL_RECIPROCAL_SUM
-    verdicts = tuple(_structural_reason(types, tuple(m if ty == TYPE_A else m + 1
-                                                     for ty, m in zip(types, canonical)))
-                     for types in TYPINGS)
-    return _VERDICTS.setdefault(verdicts, verdicts)
 
 
 def scan_assignments(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
@@ -185,6 +165,38 @@ def enumerate_patterns(triple: tuple[int, int, int] | PretzelKnot) -> list[Surfa
     and (-2,3,5).
     """
     return [row for row in scan_assignments(triple) if row.structural]
+
+
+def scan_fields(knot: PretzelKnot) -> tuple[tuple, tuple[int, ...]]:
+    """The eight rows of scan_assignments(knot) as (shapes, values): the
+    (types, verdict, structural) of each row, a tuple shared by every
+    knot that has it, and the flat ints of the rows, each row's slopes
+    followed, in a structural row, by its arcs, sheets, chi and genus.
+
+    As every |m| >= 2, m + 1 has the sign of m: a triple without exactly
+    one negative entry fails the sign pattern in every row; with one,
+    every row meets the reciprocal sum next.  Only a triple for which
+    some reciprocal sum is zero is scanned.
+    """
+    p, q, r = canonical = knot.canonical
+    if 1 in canonical or -1 in canonical:
+        raise DegenerateTangleError(f"unit twist in {canonical}")
+    if (p < 0) + (q < 0) + (r < 0) != 1:
+        return _ALL_SIGN_PATTERN, _SLOPES((p, q, r, p + 1, q + 1, r + 1))
+    # x(y + z) + yz, the sum cleared of fractions, for x in (p, p + 1), ...
+    for y, z in ((q, r), (q, r + 1), (q + 1, r), (q + 1, r + 1)):
+        if p * (y + z) + y * z == 0 or (p + 1) * (y + z) + y * z == 0:
+            break
+    else:
+        return _ALL_RECIPROCAL_SUM, _SLOPES((p, q, r, p + 1, q + 1, r + 1))
+    rows = scan_assignments(knot)
+    values = []
+    for row in rows:
+        values += row.boundary_slopes
+        if row.structural:
+            values += (row.arcs, *row.sheets, row.chi, row.genus_val)
+    shapes = tuple((row.tangle_types, row.verdict, row.structural) for row in rows)
+    return _SHAPES.setdefault(shapes, shapes), tuple(values)
 
 
 def euler_characteristic(pattern: SurfacePattern) -> int:

@@ -23,15 +23,16 @@ from pretzelrep import (
     canonical_entries,
     enumerate_patterns,
     enumerate_solutions,
-    existence_verdicts,
     is_large_algebraic,
     normalize_pretzel,
     parse_expr,
     pretzel_diagram,
     pretzel_form_knot,
+    pretzel_knot,
     representativity_bounds,
     run,
     scan_assignments,
+    scan_fields,
 )
 from pretzelrep import cli
 from pretzelrep.cli import _report_json, _report_template, _template
@@ -141,16 +142,16 @@ def test_box_holds_every_report_path():
 
 
 def rejected_blocks(bound: int) -> list[tuple[int, int, int]]:
-    """One canonical knot triple in [-bound, bound] per distinct verdict
-    tuple with no structural row."""
+    """One canonical knot triple in [-bound, bound] per distinct shapes
+    tuple of scan_fields with no structural row."""
     blocks = {}
     values = [v for v in range(-bound, bound + 1) if abs(v) >= 2]
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) == 1:
-            canonical = canonical_entries(entries)[0]
-            verdicts = existence_verdicts(canonical)
-            if None not in verdicts:
-                blocks.setdefault(verdicts, canonical)
+            knot = pretzel_knot(entries)
+            shapes = scan_fields(knot)[0]
+            if not any(structural for _, _, structural in shapes):
+                blocks.setdefault(shapes, knot.canonical)
     return list(blocks.values())
 
 
@@ -222,6 +223,21 @@ def test_templates_are_made_once_per_shape(monkeypatch):
 
     monkeypatch.setattr(json, "dumps", counted)
     assert [run_cli(args) for args in JSON_COMMANDS] == first
+    assert calls == []
+
+
+def test_second_range_json_pass_asks_for_no_report_template(monkeypatch):
+    # -5:5 holds structural rows and unit twists: once one pass has kept
+    # the template of every knot report, the next one asks for none
+    first = run_cli(["classify", "--range", "-5:5", "--json"])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _report_template(*args)
+
+    monkeypatch.setattr(cli, "_report_template", counted)
+    assert run_cli(["classify", "--range", "-5:5", "--json"]) == first
     assert calls == []
 
 

@@ -15,7 +15,6 @@ from pretzelrep import (
     Verdict,
     enumerate_patterns,
     euler_characteristic,
-    existence_verdicts,
     canonical_entries,
     final_filter,
     genus,
@@ -23,6 +22,7 @@ from pretzelrep import (
     normalize_pretzel,
     pretzel_knot,
     scan_assignments,
+    scan_fields,
     scannable_knot,
     torus_pretzel,
 )
@@ -250,6 +250,19 @@ SIGN_PATTERN = Verdict(False, "requires exactly one negative boundary slope")
 RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 
 
+def scanned_fields(knot):
+    """scan_fields(knot) as read off the rows of scan_assignments."""
+    rows = scan_assignments(knot)
+    values = []
+    for row in rows:
+        values += row.boundary_slopes
+        if row.structural:
+            values += (row.arcs, *row.sheets, row.chi, row.genus_val)
+    return tuple((row.tangle_types, row.verdict, row.structural) for row in rows), tuple(values)
+
+
+# the existence-verdict tests check the shapes and values of scan_fields,
+# screened or scanned, against the rows of scan_assignments
 @pytest.mark.parametrize("entries,canonical,structural", [
     ((3, 5, 7), (3, 5, 7), None),            # no negative entry
     ((-3, 5, 7), (-3, 5, 7), ()),            # one
@@ -262,19 +275,20 @@ RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 def test_existence_verdicts_by_sign_class(entries, canonical, structural):
     knot = pretzel_knot(PretzelTriple(*entries))
     assert knot.canonical == canonical
-    verdicts = existence_verdicts(canonical)
+    shapes, values = scan_fields(knot)
+    assert (shapes, values) == scanned_fields(knot)
     if structural is None:  # every slope triple fails the sign pattern
-        assert verdicts == (SIGN_PATTERN,) * 8
+        assert shapes == tuple((types, SIGN_PATTERN, False) for types in TYPINGS)
     else:
-        assert verdicts == tuple(None if types in structural else RECIPROCAL_SUM
-                                 for types in TYPINGS)
+        assert tuple(types for types, _, passed in shapes if passed) == structural
+        assert {verdict for _, verdict, passed in shapes if not passed} == {RECIPROCAL_SUM}
 
 
 def test_existence_verdicts_reject_unit_twists():
     with pytest.raises(DegenerateTangleError):
-        existence_verdicts((-1, 3, 5))
+        scan_fields(pretzel_knot((-1, 3, 5)))
     with pytest.raises(DegenerateTangleError):
-        existence_verdicts((1, 1, 1))
+        scan_fields(pretzel_knot((1, 1, 1)))
 
 
 def test_existence_verdicts_match_the_scan():
@@ -286,8 +300,7 @@ def test_existence_verdicts_match_the_scan():
         knot = pretzel_knot(PretzelTriple(*entries))
         rows = scan_assignments(knot)
         assert [row.tangle_types for row in rows] == list(TYPINGS)
-        expected = tuple(None if row.structural else row.verdict for row in rows)
-        assert existence_verdicts(knot.canonical) == expected, entries
+        assert scan_fields(knot) == scanned_fields(knot), entries
         checked += 1
         for row in rows:
             if row.structural:
@@ -333,24 +346,23 @@ def test_library_calls_take_plain_tuples():
     assert type(pretzel_knot(PretzelTriple(-2, 3, 5)).entries) is tuple
 
 
-RECIPROCAL_SUM_ROWS = (RECIPROCAL_SUM,) * 8
+RECIPROCAL_SUM_ROWS = tuple((types, RECIPROCAL_SUM, False) for types in TYPINGS)
 
 
 @pytest.mark.parametrize("entries,typing,reason", [
     ((-16, 23, 39), 7, "common denominator exceeds the largest boundary slope"),
     ((-21, 39, 39), 7, "single-disk region must meet the surface in one sheet"),
-    ((-20, 39, 40), 2, "parallel-disk region needs at least two sheets"),  # a link
     ((-19, 37, 38), 2, "parallel-disk region needs at least two sheets"),
 ], ids=str)
 def test_existence_verdicts_past_a_zero_reciprocal_sum(entries, typing, reason):
     # one typing clears the reciprocal sum and fails a later filter
     expected = list(RECIPROCAL_SUM_ROWS)
-    expected[typing] = Verdict(False, reason)
-    verdicts = existence_verdicts(entries)
-    assert verdicts == tuple(expected)
-    assert existence_verdicts(entries) is verdicts  # shared, not rebuilt
-    if knot_components(entries) == 1:
-        assert verdicts == tuple(row.verdict for row in scan_assignments(entries))
+    expected[typing] = (TYPINGS[typing], Verdict(False, reason), False)
+    knot = pretzel_knot(entries)
+    shapes, values = scan_fields(knot)
+    assert shapes == tuple(expected)
+    assert (shapes, values) == scanned_fields(knot)
+    assert scan_fields(knot)[0] is shapes  # shared, not rebuilt
 
 
 def test_existence_verdicts_match_the_scan_with_one_negative_entry():
@@ -360,11 +372,11 @@ def test_existence_verdicts_match_the_scan_with_one_negative_entry():
         if (entries[0] > 0 or entries[1] < 0 or knot_components(entries) != 1
                 or canonical_entries(entries)[0] != entries):
             continue
-        verdicts = existence_verdicts(entries)
-        expected = tuple(None if row.structural else row.verdict
-                         for row in scan_assignments(entries))
-        assert verdicts == expected, entries
-        if verdicts == RECIPROCAL_SUM_ROWS:
+        knot = pretzel_knot(entries)
+        shapes, fields = scan_fields(knot)
+        assert (shapes, fields) == scanned_fields(knot), entries
+        assert scan_fields(knot)[0] is shapes, entries
+        if shapes == RECIPROCAL_SUM_ROWS:
             screened += 1
         else:
             fallback += 1
