@@ -42,8 +42,10 @@ from .linktrace import (
     component_count,
     is_knot,
     knot_components,
+    pretzel_crossings,
     pretzel_diagram,
     pretzel_knot,
+    trace_components,
 )
 from .slopelemma import (
     SlopeCondition,

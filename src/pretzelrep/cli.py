@@ -17,6 +17,7 @@ import sys
 from bisect import bisect_left
 from csv import writer as csv_writer
 from functools import cache
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
@@ -30,10 +31,10 @@ from .errors import (
 )
 from .linktrace import (
     PretzelKnot,
-    component_count,
     diagram_twists,
-    pretzel_diagram,
+    pretzel_crossings,
     pretzel_knot,
+    trace_components,
 )
 from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
 from .surfacescan import (SurfacePattern, Verdict, enumerate_patterns, scan_assignments,
@@ -469,12 +470,13 @@ _ITEMS_PER_WRITE = 8192
 
 
 def _write_items(out, head: str, template: str, items, separator: str, tail: str) -> None:
-    """Write head, then template % item for each item with separator
-    between them, then tail; head goes out only when there are items."""
+    """Write head, then template % item for each item of the iterable
+    items with separator between them, then tail; head goes out only
+    when there are items."""
+    items = iter(items)
     lead = head
-    for start in range(0, len(items), _ITEMS_PER_WRITE):
-        out.write(lead + separator.join([template % item
-                                         for item in items[start:start + _ITEMS_PER_WRITE]]))
+    while lines := [template % item for item in islice(items, _ITEMS_PER_WRITE)]:
+        out.write(lead + separator.join(lines))
         lead = separator
     out.write(tail)
 
@@ -484,16 +486,17 @@ def _write_items(out, head: str, template: str, items, separator: str, tail: str
 
 def _cmd_trace(args, out) -> None:
     twists = diagram_twists(_parse_pretzel_argument(args.expr, "trace"))
-    code = pretzel_diagram(twists)
-    components = component_count(code)
-    crossings = code.crossings
+    crossings = sum(map(abs, twists))
+    # the header names the components before the pd items, so the crossings
+    # are generated twice, to be traced and then written, and never held
+    components = trace_components(lambda: pretzel_crossings(twists), 2 * crossings)
     if not args.json:
         # the pd line as json.dumps(separators=(",", ":")) writes it
-        _write_items(out, f"crossings: {len(crossings)}\ncomponents: {components}\npd: [",
-                     "[%d,%d,%d,%d]", crossings, ",", "]\n")
+        _write_items(out, f"crossings: {crossings}\ncomponents: {components}\npd: [",
+                     "[%d,%d,%d,%d]", pretzel_crossings(twists), ",", "]\n")
         return
-    _write_items(out, _TRACE_HEAD % (*twists, len(crossings), components), _CROSSING,
-                 crossings, ",\n    ", _TRACE_TAIL + "\n")
+    _write_items(out, _TRACE_HEAD % (*twists, crossings, components), _CROSSING,
+                 pretzel_crossings(twists), ",\n    ", _TRACE_TAIL + "\n")
 
 
 # --- parse ---

@@ -9,15 +9,16 @@ on exactly two slots in the whole code.
 The pretzel diagram for twist parameters (t_1, ..., t_n) stacks |t_i|
 crossings in the i-th vertical region; the regions are joined top-right
 to top-left and bottom-right to bottom-left of the next region, indices
-wrapping around.  pretzel_diagram builds at most MAX_CROSSINGS crossings.
+wrapping around.  pretzel_diagram builds, and pretzel_crossings yields,
+at most MAX_CROSSINGS crossings.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DegenerateTangleError,
@@ -28,9 +29,12 @@ from .errors import (
 from .tanglecalc import canonical_entries
 
 __all__ = ["MAX_CROSSINGS", "PDCode", "PretzelKnot", "diagram_twists", "pretzel_diagram",
-           "component_count", "is_knot", "knot_components", "pretzel_knot"]
+           "pretzel_crossings", "component_count", "trace_components", "is_knot",
+           "knot_components", "pretzel_knot"]
 
-# trace at this size: about 4.5 s and 465 MB, as text or JSON
+Crossing = tuple[int, int, int, int]
+
+# trace at this size: about 3-4 s and 139 MB, as text or JSON
 MAX_CROSSINGS = 2_000_000
 
 
@@ -38,7 +42,7 @@ MAX_CROSSINGS = 2_000_000
 class PDCode:
     """Crossing list of a link diagram."""
 
-    crossings: tuple[tuple[int, int, int, int], ...]
+    crossings: tuple[Crossing, ...]
 
 
 def diagram_twists(twists: Sequence[int]) -> list[int]:
@@ -65,16 +69,24 @@ def pretzel_diagram(twists: Sequence[int]) -> PDCode:
     t_i < 0 stacks |t_i| negative ones; the twists must pass
     diagram_twists.
     """
-    twists = diagram_twists(twists)
+    # through a list: the collector would rescan a tuple grown in place
+    return PDCode(tuple(list(pretzel_crossings(twists))))
+
+
+def pretzel_crossings(twists: Sequence[int]) -> Iterator[Crossing]:
+    """The crossings of pretzel_diagram(twists), one at a time, so that
+    no diagram is held; the twists are checked at the call, not at the
+    first crossing."""
+    return _crossings(diagram_twists(twists))
+
+
+def _crossings(twists: list[int]) -> Iterator[Crossing]:
     n = len(twists)
     # top[i] joins region i top-right to region i+1 top-left, bottom[i]
     # likewise along the lower edge; interior arcs are numbered after.
     top = list(range(1, n + 1))
     bottom = list(range(n + 1, 2 * n + 1))
     next_arc = 2 * n + 1
-
-    crossings: list[tuple[int, int, int, int]] = []
-    add = crossings.append
     for i, t in enumerate(twists):
         # index i - 1 wraps to the last region at i = 0; every crossing but
         # the last leads into two new arcs.  The under-strand runs top-left
@@ -83,65 +95,72 @@ def pretzel_diagram(twists: Sequence[int]) -> PDCode:
         stop = next_arc + 2 * abs(t) - 2
         for out_left in range(next_arc, stop, 2):
             out_right = out_left + 1  # one int object for both crossings that use it
-            add((left, out_left, out_right, right) if t > 0 else (right, left, out_left, out_right))
+            yield (left, out_left, out_right, right) if t > 0 else (right, left, out_left, out_right)
             left, right = out_left, out_right
         out_left, out_right = bottom[i - 1], bottom[i]
-        add((left, out_left, out_right, right) if t > 0 else (right, left, out_left, out_right))
+        yield (left, out_left, out_right, right) if t > 0 else (right, left, out_left, out_right)
         next_arc = stop
-    return PDCode(tuple(crossings))
 
 
 def component_count(code: PDCode) -> int:
-    """Number of link components traced through the crossings.
+    """Number of link components traced through the crossings; a code
+    with n crossings must use each label 1..2n exactly twice."""
+    return trace_components(lambda: code.crossings, 2 * len(code.crossings))
 
-    Strands glue along slots (0, 2) and (1, 3) of every crossing; the
-    components are the equivalence classes of arcs under that gluing.
-    A code with n crossings must use each label 1..2n exactly twice.
+
+_CROSSINGS_PER_CHUNK = 1024  # small enough to stay in cache while traced
+
+
+def trace_components(build: Callable[[], Iterable[Crossing]], size: int) -> int:
+    """Number of link components of the code that build() yields, which
+    must use each label 1..size exactly twice, holding one chunk of its
+    crossings at a time.  Strands glue along slots (0, 2) and (1, 3) of
+    every crossing; the components are the classes of arcs under that
+    gluing.  An invalid code is built once more to name its first fault.
     """
-    crossings = code.crossings
-    if not crossings:
-        return 0
-    size = 2 * len(crossings)
-    # a label below 1 would index uses and parent from the end, so it is
-    # checked here; a label above 2n raises IndexError in the loop
-    if min(chain.from_iterable(crossings), default=1) < 1:
-        raise _invalid_code(crossings, size)
-
-    uses = bytearray(size + 1)
-    parent = list(range(size + 1))
+    # parent[x] is 0 while arc x is a root (no label is 0), so neither
+    # list starts out with an int object per label
+    uses = [0] * (size + 1)
+    parent = [0] * (size + 1)
     merges = 0
+    crossings = iter(build())
     try:
-        for a, b, c, d in crossings:
-            uses[a] += 1
-            uses[b] += 1
-            uses[c] += 1
-            uses[d] += 1
-            # join the under-strand arcs a, c, then the over-strand b, d,
-            # finding each root with path halving
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[c] != c:
-                parent[c] = c = parent[parent[c]]
-            if a != c:
-                parent[a] = c
-                merges += 1
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            while parent[d] != d:
-                parent[d] = d = parent[parent[d]]
-            if b != d:
-                parent[b] = d
-                merges += 1
-    except (ValueError, IndexError):  # not four slots, a count past 255, a label above 2n
-        raise _invalid_code(crossings, size) from None
-    if uses.count(2) != size:
-        raise _invalid_code(crossings, size)
-    return size - merges
+        while chunk := list(islice(crossings, _CROSSINGS_PER_CHUNK)):
+            # a label below 1 would index uses and parent from the end, so
+            # it is checked here; a label above size raises IndexError below
+            if min(chain.from_iterable(chunk)) < 1:
+                raise ValueError
+            for a, b, c, d in chunk:
+                uses[a] += 1
+                uses[b] += 1
+                uses[c] += 1
+                uses[d] += 1
+                # join the under-strand arcs a, c, then the over-strand b, d,
+                # finding each root with path halving
+                while p := parent[a]:
+                    parent[a] = a = parent[p] or p
+                while p := parent[c]:
+                    parent[c] = c = parent[p] or p
+                if a != c:
+                    parent[a] = c
+                    merges += 1
+                while p := parent[b]:
+                    parent[b] = b = parent[p] or p
+                while p := parent[d]:
+                    parent[d] = d = parent[p] or p
+                if b != d:
+                    parent[b] = d
+                    merges += 1
+        if uses.count(2) == size:
+            return size - merges
+    except (ValueError, IndexError):  # a label out of range, a crossing without four slots
+        pass
+    raise _invalid_code(tuple(build()), size)
 
 
 def _invalid_code(crossings, size: int) -> InvalidPDCodeError:
-    """The error for an invalid code of size = 2n labels: a label outside
-    1..2n first, then a crossing without four slots, then a label not used twice."""
+    """The error for an invalid code with labels 1..size: a label outside
+    1..size first, then a crossing without four slots, then a label not used twice."""
     low = min(chain.from_iterable(crossings), default=1)
     high = max(chain.from_iterable(crossings), default=1)
     if low < 1 or high > size:
@@ -149,16 +168,18 @@ def _invalid_code(crossings, size: int) -> InvalidPDCodeError:
     for index, crossing in enumerate(crossings):
         if len(crossing) != 4:
             return InvalidPDCodeError(f"crossing {index} has {len(crossing)} slots, expected 4")
-    # 4n slots hold the 2n labels, so a label missing from the code
-    # leaves another used more than twice: some count is always off
-    arc, count = next((arc, count) for arc, count in Counter(chain.from_iterable(crossings)).items()
-                      if count != 2)
-    return InvalidPDCodeError(f"arc {arc} appears {count} times, expected exactly 2")
+    # with size / 2 crossings a missing label leaves another used more than
+    # twice; only a stream short of crossings can miss one with no count off
+    counts = Counter(chain.from_iterable(crossings))
+    arc = next(chain((arc for arc, count in counts.items() if count != 2),
+                     (arc for arc in range(1, size + 1) if arc not in counts)))
+    return InvalidPDCodeError(f"arc {arc} appears {counts[arc]} times, expected exactly 2")
 
 
 def is_knot(triple: tuple[int, int, int]) -> bool:
-    """True when the pretzel diagram traces out a single component."""
-    return component_count(pretzel_diagram(triple)) == 1
+    """True when the pretzel diagram, traced without being held, has one component."""
+    twists = diagram_twists(triple)
+    return trace_components(lambda: pretzel_crossings(twists), 2 * sum(map(abs, twists))) == 1
 
 
 def knot_components(entries: tuple[int, int, int]) -> int:

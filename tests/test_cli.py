@@ -16,13 +16,15 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import pretzelrep
-from pretzelrep import MAX_DIGITS, max_digits, run
+from pretzelrep import (MAX_DIGITS, InvalidPDCodeError, PDCode, component_count, max_digits,
+                        pretzel_diagram, run)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -282,18 +284,24 @@ NO_DIAGRAM_ERRORS = [
 
 @pytest.fixture
 def refuse_diagrams(monkeypatch):
-    """Make every binding of pretzel_diagram in the package fail."""
-    original = pretzelrep.linktrace.pretzel_diagram
+    """Make every binding of pretzel_diagram and of the streaming
+    pretzel_crossings in the package fail."""
+    patched = {}
+    for entry in ("pretzel_diagram", "pretzel_crossings"):
+        original = getattr(pretzelrep.linktrace, entry)
 
-    def refuse(twists):
-        raise AssertionError(f"a diagram was built for {tuple(twists)}")
+        def refuse(twists, entry=entry):
+            raise AssertionError(f"{entry} was called for {tuple(twists)}")
 
-    patched = []
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "pretzelrep" and getattr(module, "pretzel_diagram", None) is original:
-            monkeypatch.setattr(module, "pretzel_diagram", refuse)
-            patched.append(name)
-    assert "pretzelrep.cli" in patched and "pretzelrep.linktrace" in patched
+        patched[entry] = []
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "pretzelrep" and getattr(module, entry, None) is original:
+                monkeypatch.setattr(module, entry, refuse)
+                patched[entry].append(name)
+    assert "pretzelrep.linktrace" in patched["pretzel_diagram"]
+    # the CLI traces through pretzel_crossings, so it must bind that name
+    assert ("pretzelrep.cli" in patched["pretzel_crossings"]
+            and "pretzelrep.linktrace" in patched["pretzel_crossings"])
 
 
 def test_error_paths_build_no_diagram(refuse_diagrams):
@@ -307,6 +315,58 @@ def test_trace_above_the_crossing_budget_builds_no_diagram(refuse_diagrams):
                "more than the limit of 2000000\n")
     for flag in ([], ["--json"]):
         assert run_cli(["trace", "P(-2,3,10000000)", *flag]) == (2, "", message)
+
+
+class _Discard:
+    """A text stream that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_trace_holds_no_diagram(flag):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = pretzel_diagram([-2, 3, 100001])
+        diagram = tracemalloc.get_traced_memory()[0] - before
+        del code
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert run(["trace", "P(-2,3,100001)", *flag], _Discard(), io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * diagram, (peak, diagram)
+
+
+# P(-2,3,3) has 8 crossings, so its labels are 1..16
+INVALID_CROSSINGS = [
+    ("label 0", {2: 0}, "arc 0 is outside the labels 1..16"),
+    ("label above 2n", {5: 17}, "arc 17 is outside the labels 1..16"),
+    ("label 0, then above 2n", {2: 0, 5: 17}, "arc 0 is outside the labels 1..16"),
+]
+
+
+@pytest.mark.parametrize("changes,message", [case[1:] for case in INVALID_CROSSINGS],
+                         ids=[case[0] for case in INVALID_CROSSINGS])
+def test_trace_of_invalid_crossings_exits_3(monkeypatch, changes, message):
+    real = pretzelrep.cli.pretzel_crossings
+
+    def broken(twists):
+        # the crossings of the real diagram, but the crossing at each
+        # changed index has that label in its first slot
+        for index, crossing in enumerate(real(twists)):
+            yield (changes[index], *crossing[1:]) if index in changes else crossing
+
+    crossings = tuple(broken([-2, 3, 3]))
+    with pytest.raises(InvalidPDCodeError) as info:
+        component_count(PDCode(crossings))
+    assert str(info.value) == message
+    monkeypatch.setattr(pretzelrep.cli, "pretzel_crossings", broken)
+    for flag in ([], ["--json"]):
+        assert run_cli(["trace", "P(-2,3,3)", *flag]) == (3, "", f"internal error: {message}\n")
 
 
 @pytest.mark.parametrize("max_c", [200001, 10**30], ids=["200001", "1e30"])

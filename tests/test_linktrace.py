@@ -17,8 +17,10 @@ from pretzelrep import (
     component_count,
     is_knot,
     normalize_pretzel,
+    pretzel_crossings,
     pretzel_diagram,
     pretzel_knot,
+    trace_components,
 )
 from pretzelrep.linktrace import MAX_CROSSINGS, diagram_twists, knot_components
 
@@ -228,6 +230,56 @@ def test_malformed_labels_rejected(crossings, message):
     with pytest.raises(InvalidPDCodeError) as info:
         component_count(PDCode(crossings))
     assert str(info.value) == message
+
+
+# a 3,004-crossing code: a fault at crossing 2500 is past the first
+# chunk that trace_components takes
+LONG_CODE = pretzel_diagram([-2, 3, 2999]).crossings
+
+
+def _long_code_with(index, crossing):
+    return LONG_CODE[:index] + (crossing,) + LONG_CODE[index + 1:]
+
+
+ITERATED = MALFORMED + [
+    ("late label 0", _long_code_with(2500, (0, 1, 1, 2)), "arc 0 is outside the labels 1..6008"),
+    ("late label above 2n", _long_code_with(2500, (6009, 1, 1, 2)),
+     "arc 6009 is outside the labels 1..6008"),
+    ("late three slots", _long_code_with(2500, (1, 2, 3)), "crossing 2500 has 3 slots, expected 4"),
+    ("late repeated crossing", _long_code_with(2500, LONG_CODE[2499]),
+     f"arc {LONG_CODE[2499][0]} appears 3 times, expected exactly 2"),
+]
+
+
+@pytest.mark.parametrize("crossings,message", [case[1:] for case in ITERATED],
+                         ids=[case[0] for case in ITERATED])
+def test_trace_components_of_an_iterator_names_the_fault(crossings, message):
+    with pytest.raises(InvalidPDCodeError) as expected:
+        component_count(PDCode(crossings))
+    with pytest.raises(InvalidPDCodeError) as info:
+        trace_components(lambda: iter(crossings), 2 * len(crossings))
+    assert str(info.value) == str(expected.value) == message
+
+
+def test_trace_components_names_a_label_missing_from_a_short_stream():
+    # labels 1 and 2 are used twice each, but the count promises 1..4
+    with pytest.raises(InvalidPDCodeError) as info:
+        trace_components(lambda: iter([(1, 1, 2, 2)]), 4)
+    assert str(info.value) == "arc 3 appears 0 times, expected exactly 2"
+
+
+def test_streamed_crossings_are_the_diagram():
+    for twists in ([1], [-2, 3, 5], [2, -4, 7, -1], [-3000, 1, 2]):
+        assert tuple(pretzel_crossings(twists)) == pretzel_diagram(twists).crossings
+        assert trace_components(lambda: pretzel_crossings(twists), 2 * sum(map(abs, twists))) \
+            == component_count(pretzel_diagram(twists))
+
+
+def test_streamed_crossings_check_the_twists_at_the_call():
+    with pytest.raises(DegenerateTangleError):
+        pretzel_crossings([2, 0, 3])
+    with pytest.raises(InvalidParameterError):
+        pretzel_crossings([-2, 3, MAX_CROSSINGS])
 
 
 def _contract_message(crossings):
