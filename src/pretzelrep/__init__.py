@@ -32,12 +32,10 @@ from .tanglecalc import (
     canonical_entries,
     is_large_algebraic,
     max_digits,
-    normalize_pretzel,
     parse_expr,
     print_expr,
 )
 from .linktrace import (
-    PDCode,
     PretzelKnot,
     component_count,
     is_knot,

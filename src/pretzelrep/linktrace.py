@@ -28,7 +28,7 @@ from .errors import (
 )
 from .tanglecalc import canonical_entries
 
-__all__ = ["MAX_CROSSINGS", "PDCode", "PretzelKnot", "diagram_twists", "pretzel_diagram",
+__all__ = ["MAX_CROSSINGS", "PretzelKnot", "diagram_twists", "pretzel_diagram",
            "pretzel_crossings", "component_count", "trace_components", "is_knot",
            "knot_components", "pretzel_knot"]
 
@@ -36,13 +36,6 @@ Crossing = tuple[int, int, int, int]
 
 # trace at this size: about 3-4 s and 139 MB, as text or JSON
 MAX_CROSSINGS = 2_000_000
-
-
-@dataclass(frozen=True)
-class PDCode:
-    """Crossing list of a link diagram."""
-
-    crossings: tuple[Crossing, ...]
 
 
 def diagram_twists(twists: Sequence[int]) -> list[int]:
@@ -62,7 +55,7 @@ def diagram_twists(twists: Sequence[int]) -> list[int]:
     return twists
 
 
-def pretzel_diagram(twists: Sequence[int]) -> PDCode:
+def pretzel_diagram(twists: Sequence[int]) -> tuple[Crossing, ...]:
     """Planar diagram code of the pretzel link with the given twists.
 
     Twist parameter t_i > 0 stacks t_i positive crossings in region i,
@@ -70,7 +63,7 @@ def pretzel_diagram(twists: Sequence[int]) -> PDCode:
     diagram_twists.
     """
     # through a list: the collector would rescan a tuple grown in place
-    return PDCode(tuple(list(pretzel_crossings(twists))))
+    return tuple(list(pretzel_crossings(twists)))
 
 
 def pretzel_crossings(twists: Sequence[int]) -> Iterator[Crossing]:
@@ -102,10 +95,10 @@ def _crossings(twists: list[int]) -> Iterator[Crossing]:
         next_arc = stop
 
 
-def component_count(code: PDCode) -> int:
+def component_count(crossings: Sequence[Crossing]) -> int:
     """Number of link components traced through the crossings; a code
     with n crossings must use each label 1..2n exactly twice."""
-    return trace_components(lambda: code.crossings, 2 * len(code.crossings))
+    return trace_components(lambda: crossings, 2 * len(crossings))
 
 
 _CROSSINGS_PER_CHUNK = 1024  # small enough to stay in cache while traced

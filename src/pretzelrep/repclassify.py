@@ -108,25 +108,23 @@ _EXACTLY_THREE = {(-2, 3, 3), (-2, 3, 5)}
 
 _BRIDGE_RULE = AppliedRule("bridge-number-bound", _CITE_BRIDGE, "upper", 3)
 # the report of each rule set for pretzel knots, before any torus rule
-_RULE_SETS = {
-    "small-twist": RepReport(1, 2, None, (_BRIDGE_RULE, AppliedRule(
-        "small-twist-reduction", _CITE_SMALL_TWIST, "upper", 2)), None, 2),
-    "exactly-three": RepReport(3, 3, 3, (_BRIDGE_RULE, AppliedRule(
-        "representativity-equals-three", _CITE_CLASSIFICATION, "exact", 3)), None, 3),
-    "at-most-two": RepReport(1, 2, None, (_BRIDGE_RULE, AppliedRule(
-        "representativity-at-most-two", _CITE_CLASSIFICATION, "upper", 2)), None, 3),
-}
+_SMALL_TWIST = RepReport(1, 2, None, (_BRIDGE_RULE, AppliedRule(
+    "small-twist-reduction", _CITE_SMALL_TWIST, "upper", 2)), None, 2)
+_EQUALS_THREE = RepReport(3, 3, 3, (_BRIDGE_RULE, AppliedRule(
+    "representativity-equals-three", _CITE_CLASSIFICATION, "exact", 3)), None, 3)
+_AT_MOST_TWO = RepReport(1, 2, None, (_BRIDGE_RULE, AppliedRule(
+    "representativity-at-most-two", _CITE_CLASSIFICATION, "upper", 2)), None, 3)
 _TORUS_RULE = AppliedRule("torus-knot-identification", _CITE_TORUS)
 
 
-def _rule_set(entries: tuple[int, int, int], canonical: tuple[int, int, int]) -> str:
+def _rule_set(entries: tuple[int, int, int], canonical: tuple[int, int, int]) -> RepReport:
     if 1 in entries or -1 in entries:
-        return "small-twist"
-    return "exactly-three" if canonical in _EXACTLY_THREE else "at-most-two"
+        return _SMALL_TWIST
+    return _EQUALS_THREE if canonical in _EXACTLY_THREE else _AT_MOST_TWO
 
 
 def _torus_report(canonical: tuple[int, int, int], torus: TorusInfo) -> RepReport:
-    base = _RULE_SETS[_rule_set(canonical, canonical)]
+    base = _rule_set(canonical, canonical)
     return replace(base, rules=base.rules + (_TORUS_RULE,), torus=torus)
 
 
@@ -160,6 +158,14 @@ def tangle_string_bound(string_number: int) -> int:
             f"tangle string number must be >= 1, got {string_number}"
         )
     return 2 * string_number
+
+
+# the report of each kind of closure, both conditional on the visible sphere
+_LARGE_ALGEBRAIC = RepReport(1, 3, None, (AppliedRule(
+    "large-algebraic-bound", _CITE_LARGE_ALGEBRAIC, "upper", 3, conditional=True),), None, None)
+_STRING_BOUND = RepReport(1, 4, None, (AppliedRule(
+    "tangle-string-bound", _CITE_TANGLE_STRING, "upper", tangle_string_bound(2),
+    conditional=True),), None, None)
 
 
 def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
@@ -203,7 +209,7 @@ def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
 
 def _classify_pretzel(knot: PretzelKnot) -> RepReport:
     report = _TORUS_REPORTS.get((knot.canonical, knot.mirror))
-    return _RULE_SETS[_rule_set(knot.entries, knot.canonical)] if report is None else report
+    return _rule_set(knot.entries, knot.canonical) if report is None else report
 
 
 def _classify_closure(expression: Closure) -> RepReport:
@@ -212,12 +218,4 @@ def _classify_closure(expression: Closure) -> RepReport:
             "closure of a single tangle carries no decomposing sphere; "
             "expected C(T1+T2)"
         )
-    if is_large_algebraic(expression):
-        rule = AppliedRule("large-algebraic-bound", _CITE_LARGE_ALGEBRAIC,
-                           "upper", 3, conditional=True)
-        upper = 3
-    else:
-        rule = AppliedRule("tangle-string-bound", _CITE_TANGLE_STRING,
-                           "upper", tangle_string_bound(2), conditional=True)
-        upper = 4
-    return RepReport(1, upper, None, (rule,), None, None)
+    return _LARGE_ALGEBRAIC if is_large_algebraic(expression) else _STRING_BOUND

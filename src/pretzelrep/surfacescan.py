@@ -108,10 +108,13 @@ def scannable_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
     error: a zero twist, then a unit twist, then a link."""
     entries = triple.entries if isinstance(triple, PretzelKnot) else tuple(triple)
     if 0 not in entries and (1 in entries or -1 in entries):
-        raise DegenerateTangleError(
-            f"twist parameters must have absolute value >= 2, got {entries}"
-        )
+        raise _unit_twist(entries)
     return pretzel_knot(triple)
+
+
+def _unit_twist(entries: tuple[int, int, int]) -> DegenerateTangleError:
+    """The error for a triple the scan rejects for a twist of absolute value 1."""
+    return DegenerateTangleError(f"twist parameters must have absolute value >= 2, got {entries}")
 
 
 def _structural_reason(types, slopes) -> Verdict | None:
@@ -180,7 +183,7 @@ def scan_fields(knot: PretzelKnot) -> tuple[tuple, tuple[int, ...]]:
     """
     p, q, r = canonical = knot.canonical
     if 1 in canonical or -1 in canonical:
-        raise DegenerateTangleError(f"unit twist in {canonical}")
+        raise _unit_twist(knot.entries)
     if (p < 0) + (q < 0) + (r < 0) != 1:
         return _ALL_SIGN_PATTERN, _SLOPES((p, q, r, p + 1, q + 1, r + 1))
     # x(y + z) + yz, the sum cleared of fractions, for x in (p, p + 1), ...

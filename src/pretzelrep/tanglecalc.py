@@ -44,7 +44,6 @@ __all__ = [
     "parse_expr",
     "print_expr",
     "canonical_entries",
-    "normalize_pretzel",
     "is_large_algebraic",
 ]
 
@@ -71,12 +70,6 @@ class PretzelTriple(NamedTuple):
     p: int
     q: int
     r: int
-
-    def entries(self) -> tuple[int, int, int]:
-        return tuple(self)
-
-    def mirrored(self) -> "PretzelTriple":
-        return PretzelTriple(-self.p, -self.q, -self.r)
 
 
 @dataclass(frozen=True)
@@ -296,12 +289,6 @@ def canonical_entries(entries: tuple[int, int, int]) -> tuple[tuple[int, int, in
     if mirrored > plain:
         return mirrored, True
     return plain, False
-
-
-def normalize_pretzel(triple: PretzelTriple) -> tuple[PretzelTriple, bool]:
-    """canonical_entries of a triple, the canonical form as a PretzelTriple."""
-    canonical, mirror = canonical_entries(triple)
-    return PretzelTriple(*canonical), mirror
 
 
 def is_large_algebraic(expression: TangleExpr) -> bool:

@@ -17,12 +17,12 @@ from pretzelrep import (
     SlopeCondition,
     TorusInfo,
     brute_force_solutions,
+    canonical_entries,
     component_count,
     enumerate_patterns,
     enumerate_solutions,
     genus,
     is_knot,
-    normalize_pretzel,
     parse_expr,
     pretzel_diagram,
     print_expr,
@@ -44,7 +44,7 @@ def _check(number, description, ok):
 
 
 def _canonical(entries):
-    return normalize_pretzel(PretzelTriple(*entries))[0].entries()
+    return canonical_entries(entries)[0]
 
 
 def test_criterion_1_desk_scale_scan():

@@ -23,7 +23,7 @@ import jsonschema
 import pytest
 
 import pretzelrep
-from pretzelrep import (MAX_DIGITS, InvalidPDCodeError, PDCode, component_count, max_digits,
+from pretzelrep import (MAX_DIGITS, InvalidPDCodeError, component_count, max_digits,
                         pretzel_diagram, run)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -362,7 +362,7 @@ def test_trace_of_invalid_crossings_exits_3(monkeypatch, changes, message):
 
     crossings = tuple(broken([-2, 3, 3]))
     with pytest.raises(InvalidPDCodeError) as info:
-        component_count(PDCode(crossings))
+        component_count(crossings)
     assert str(info.value) == message
     monkeypatch.setattr(pretzelrep.cli, "pretzel_crossings", broken)
     for flag in ([], ["--json"]):

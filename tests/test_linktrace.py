@@ -11,12 +11,10 @@ from pretzelrep import (
     InvalidParameterError,
     InvalidPDCodeError,
     NotAKnotError,
-    PDCode,
     PretzelTriple,
     canonical_entries,
     component_count,
     is_knot,
-    normalize_pretzel,
     pretzel_crossings,
     pretzel_diagram,
     pretzel_knot,
@@ -26,7 +24,7 @@ from pretzelrep.linktrace import MAX_CROSSINGS, diagram_twists, knot_components
 
 
 def _arc_multiset(code):
-    return Counter(arc for crossing in code.crossings for arc in crossing)
+    return Counter(arc for crossing in code for arc in crossing)
 
 
 def _parity_components(entries):
@@ -38,7 +36,7 @@ def _parity_components(entries):
 
 def test_trefoil_diagram():
     code = pretzel_diagram([1, 1, 1])
-    assert len(code.crossings) == 3
+    assert len(code) == 3
     assert all(count == 2 for count in _arc_multiset(code).values())
     assert component_count(code) == 1
 
@@ -46,7 +44,7 @@ def test_trefoil_diagram():
 def test_diagram_arc_counts():
     for twists in [[2], [3], [-2, 3], [1, 1, 1], [-2, 3, 3], [2, -3, 4, -5]]:
         code = pretzel_diagram(twists)
-        assert len(code.crossings) == sum(abs(t) for t in twists)
+        assert len(code) == sum(abs(t) for t in twists)
         counts = _arc_multiset(code)
         assert len(counts) == 2 * sum(abs(t) for t in twists)
         assert all(count == 2 for count in counts.values())
@@ -77,9 +75,9 @@ def test_zero_twist_rejected():
 
 def test_malformed_code_rejected():
     with pytest.raises(InvalidPDCodeError):
-        component_count(PDCode(((1, 2, 3, 4),)))
+        component_count(((1, 2, 3, 4),))
     with pytest.raises(InvalidPDCodeError):
-        component_count(PDCode(((1, 1, 2, 2), (1, 3, 3, 4))))
+        component_count(((1, 1, 2, 2), (1, 3, 3, 4)))
 
 
 def test_tracing_matches_parity_window():
@@ -155,7 +153,7 @@ def test_tuple_and_triple_inputs_agree():
         assert from_tuple == _outcome(PretzelTriple(*entries)), entries
         outcomes[from_tuple[0] if isinstance(from_tuple, tuple) else "knot"] += 1
         canonical, mirror = canonical_entries(entries)
-        assert (PretzelTriple(*canonical), mirror) == normalize_pretzel(PretzelTriple(*entries))
+        assert (canonical, mirror) == canonical_entries(PretzelTriple(*entries))
         assert (canonical, mirror) == _brute_canonical(entries), entries
     # the box holds knots, zero twists and links
     assert set(outcomes) == {"knot", DegenerateTangleError, NotAKnotError}
@@ -165,7 +163,7 @@ def _reference_component_count(code):
     # a dict-based union-find with a separate find, kept as an
     # independent reference for component_count
     seen = {}
-    for crossing in code.crossings:
+    for crossing in code:
         for arc in crossing:
             seen[arc] = seen.get(arc, 0) + 1
     assert all(count == 2 for count in seen.values())
@@ -179,17 +177,16 @@ def _reference_component_count(code):
             parent[arc], arc = root, parent[arc]
         return root
 
-    for a, b, c, d in code.crossings:
+    for a, b, c, d in code:
         parent[find(a)] = find(c)
         parent[find(b)] = find(d)
     return sum(1 for arc in parent if find(arc) == arc)
 
 
 def _relabeled(code, rng):
-    labels = list(range(1, 2 * len(code.crossings) + 1))
+    labels = list(range(1, 2 * len(code) + 1))
     rng.shuffle(labels)
-    return PDCode(tuple(tuple(labels[arc - 1] for arc in crossing)
-                        for crossing in code.crossings))
+    return tuple(tuple(labels[arc - 1] for arc in crossing) for crossing in code)
 
 
 def test_component_count_matches_reference():
@@ -228,13 +225,13 @@ MALFORMED = [
                          ids=[case[0] for case in MALFORMED])
 def test_malformed_labels_rejected(crossings, message):
     with pytest.raises(InvalidPDCodeError) as info:
-        component_count(PDCode(crossings))
+        component_count(crossings)
     assert str(info.value) == message
 
 
 # a 3,004-crossing code: a fault at crossing 2500 is past the first
 # chunk that trace_components takes
-LONG_CODE = pretzel_diagram([-2, 3, 2999]).crossings
+LONG_CODE = pretzel_diagram([-2, 3, 2999])
 
 
 def _long_code_with(index, crossing):
@@ -255,7 +252,7 @@ ITERATED = MALFORMED + [
                          ids=[case[0] for case in ITERATED])
 def test_trace_components_of_an_iterator_names_the_fault(crossings, message):
     with pytest.raises(InvalidPDCodeError) as expected:
-        component_count(PDCode(crossings))
+        component_count(crossings)
     with pytest.raises(InvalidPDCodeError) as info:
         trace_components(lambda: iter(crossings), 2 * len(crossings))
     assert str(info.value) == str(expected.value) == message
@@ -270,7 +267,7 @@ def test_trace_components_names_a_label_missing_from_a_short_stream():
 
 def test_streamed_crossings_are_the_diagram():
     for twists in ([1], [-2, 3, 5], [2, -4, 7, -1], [-3000, 1, 2]):
-        assert tuple(pretzel_crossings(twists)) == pretzel_diagram(twists).crossings
+        assert tuple(pretzel_crossings(twists)) == pretzel_diagram(twists)
         assert trace_components(lambda: pretzel_crossings(twists), 2 * sum(map(abs, twists))) \
             == component_count(pretzel_diagram(twists))
 
@@ -346,16 +343,16 @@ def test_component_count_follows_the_contract_on_random_codes():
         expected = _contract_message(crossings)
         if expected is None:
             valid += 1
-            assert component_count(PDCode(crossings)) == _strand_components(crossings), crossings
+            assert component_count(crossings) == _strand_components(crossings), crossings
         else:
             with pytest.raises(InvalidPDCodeError) as info:
-                component_count(PDCode(crossings))
+                component_count(crossings)
             assert str(info.value) == expected, crossings
     assert valid > 1000, valid
 
 
 def test_empty_code_has_no_components():
-    assert component_count(PDCode(())) == 0
+    assert component_count(()) == 0
 
 
 def test_component_count_memory_is_below_the_diagram():

@@ -24,7 +24,6 @@ from pretzelrep import (
     enumerate_patterns,
     enumerate_solutions,
     is_large_algebraic,
-    normalize_pretzel,
     parse_expr,
     pretzel_diagram,
     pretzel_form_knot,
@@ -80,8 +79,8 @@ def report_obj(text: str, kind: str, triple, report=None) -> dict:
     report = representativity_bounds(parse_expr(text)) if report is None else report
     obj = {"input": text, "kind": kind}
     if triple is not None:
-        canonical, mirror = normalize_pretzel(triple)
-        obj.update(normalized=list(canonical.entries()), mirror=mirror,
+        canonical, mirror = canonical_entries(triple)
+        obj.update(normalized=list(canonical), mirror=mirror,
                    is_knot=True, large_algebraic=None)
     else:
         obj.update(normalized=None, mirror=None, is_knot=None,
@@ -131,7 +130,7 @@ def test_range_json_matches_json_dumps(low, high):
 
 
 def test_box_holds_every_report_path():
-    triples = [t.entries() for t in knot_triples(-5, 5)]
+    triples = [tuple(t) for t in knot_triples(-5, 5)]
     canonical = {canonical_entries(t) for t in triples}
     assert {((-2, 3, 3), False), ((-2, 3, 3), True), ((-2, 3, 5), False),
             ((-2, 3, 5), True)} <= canonical
@@ -261,9 +260,9 @@ def random_triples(seed: int, count: int):
 TRIPLES = random_triples(7, 60)
 
 
-@pytest.mark.parametrize("triple", TRIPLES, ids=[str(t.entries()) for t in TRIPLES])
+@pytest.mark.parametrize("triple", TRIPLES, ids=[str(tuple(t)) for t in TRIPLES])
 def test_classify_json_matches_json_dumps(triple):
-    p, q, r = triple.entries()
+    p, q, r = triple
     pretzel = f"P({p},{q},{r})"
     assert run_cli(["classify", pretzel, "--json"]) == dumps(report_obj(pretzel, "pretzel", triple))
     montesinos = f"M(1/{p}, 1/{q}, 1/{r})"
@@ -283,14 +282,14 @@ def test_closure_json_matches_json_dumps(text):
 
 # P(3,5,7) and P(-3,5,7): every row fails the sign pattern, or the reciprocal sum
 SCANNABLE = [PretzelTriple(3, 5, 7), PretzelTriple(-3, 5, 7),
-             *(t for t in TRIPLES if min(map(abs, t.entries())) > 1)]
+             *(t for t in TRIPLES if min(map(abs, t)) > 1)]
 
 
 @pytest.mark.parametrize("triple", SCANNABLE, ids=str)
 def test_surfaces_json_matches_json_dumps(triple):
     text = f"P( {triple.p}, {triple.q}, {triple.r} )"
-    canonical, mirror = normalize_pretzel(triple)
-    expected = {"input": text, "normalized": list(canonical.entries()),
+    canonical, mirror = canonical_entries(triple)
+    expected = {"input": text, "normalized": list(canonical),
                 "mirror": mirror, "rows": surfaces_obj(triple)}
     assert run_cli(["surfaces", text, "--json"]) == dumps(expected)
 
@@ -383,7 +382,7 @@ def test_range_text_matches_single_classify():
 
 
 def old_trace(entries, as_json: bool) -> str:
-    pd = [list(crossing) for crossing in pretzel_diagram(entries).crossings]
+    pd = [list(crossing) for crossing in pretzel_diagram(entries)]
     components = knot_components(entries)
     if as_json:
         return dumps({"twists": list(entries), "crossings": len(pd),

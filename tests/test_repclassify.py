@@ -12,7 +12,7 @@ from pretzelrep import (
     RepReport,
     TorusInfo,
     UnsupportedInputError,
-    normalize_pretzel,
+    canonical_entries,
     parse_expr,
     pretzel_knot,
     representativity_bounds,
@@ -136,7 +136,7 @@ def test_mirror_preserves_bounds():
             continue
         triple = PretzelTriple(*entries)
         report = representativity_bounds(Pretzel(triple))
-        mirror = representativity_bounds(Pretzel(triple.mirrored()))
+        mirror = representativity_bounds(Pretzel(PretzelTriple(*(-e for e in entries))))
         assert (report.lower, report.upper, report.exact) == (
             mirror.lower, mirror.upper, mirror.exact)
         assert [r.name for r in report.rules] == [r.name for r in mirror.rules]
@@ -168,8 +168,7 @@ def test_rules_replay_to_reported_bounds():
 
 def _per_call_report(entries) -> RepReport:
     # the report as each call used to build it
-    canonical, mirror = normalize_pretzel(PretzelTriple(*entries))
-    canonical = canonical.entries()
+    canonical = canonical_entries(entries)[0]
     lower, upper, exact, bridge = 1, 2, None, 3
     if 1 in entries or -1 in entries:
         rule, bridge = ("small-twist-reduction", "upper", 2), 2
@@ -191,6 +190,12 @@ def test_one_class_shares_one_report():
                           ((1, 3, 5), (-1, 4, 7))]:
         assert (representativity_bounds(pretzel_knot(first))
                 is representativity_bounds(pretzel_knot(second))), (first, second)
+
+
+def test_one_closure_kind_shares_one_report():
+    for first, second in [("C((1/3+1/5)+(1/2+1/7))", "C((1/-2+1/9)+(1/4+1/3+1/5))"),
+                          ("C(1/3+(1/2+1/5))", "C(P(1,2,3)+3)")]:
+        assert _bounds(first) is _bounds(second), (first, second)
 
 
 def test_reports_are_a_few_constants():

@@ -19,7 +19,6 @@ from pretzelrep import (
     final_filter,
     genus,
     is_knot,
-    normalize_pretzel,
     pretzel_knot,
     scan_assignments,
     scan_fields,
@@ -220,7 +219,7 @@ def test_patterns_reconstruct_their_triple():
         if knot_components(entries) != 1:
             continue
         triple = PretzelTriple(*entries)
-        canonical, _ = normalize_pretzel(triple)
+        canonical, _ = canonical_entries(triple)
         rows = scan_assignments(triple)
         for row in rows:
             if row.structural:
@@ -238,7 +237,7 @@ def test_patterns_reconstruct_their_triple():
                 s if ty == "A" else s - 1
                 for ty, s in zip(pattern.tangle_types, pattern.boundary_slopes)
             )
-            assert rebuilt == canonical.entries()
+            assert rebuilt == canonical
             # closed form for the Euler characteristic, checked exactly
             a = -min(pattern.boundary_slopes)
             assert pattern.chi == pattern.arcs * (Fraction(2, a) - 1)
@@ -289,6 +288,12 @@ def test_existence_verdicts_reject_unit_twists():
         scan_fields(pretzel_knot((-1, 3, 5)))
     with pytest.raises(DegenerateTangleError):
         scan_fields(pretzel_knot((1, 1, 1)))
+    # one unit twist, one message, whichever check meets it
+    with pytest.raises(DegenerateTangleError) as scanned:
+        scan_fields(pretzel_knot((1, 3, 5)))
+    with pytest.raises(DegenerateTangleError) as validated:
+        scannable_knot((1, 3, 5))
+    assert str(scanned.value) == str(validated.value)
 
 
 def test_existence_verdicts_match_the_scan():
