@@ -2,9 +2,10 @@
 
 Subcommands: classify, surfaces, lemma, trace, parse.  Output is plain
 text by default; --json (and --csv for surfaces) switch formats.  Exit
-codes: 0 success, 1 unusable input (bad syntax or bad arguments), 2 a
-domain error (input parsed but cannot be classified), 3 an internal
-invariant violation.  All output is deterministic for a given input.
+codes: 0 success, 1 unusable input (bad syntax or bad arguments) or
+output that cannot be written, 2 a domain error (input parsed but
+cannot be classified), 3 an internal invariant violation, 130 an
+interrupt (Ctrl-C).  All output is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 from bisect import bisect_left
 from csv import writer as csv_writer
 from functools import cache
-from itertools import islice
+from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
@@ -37,8 +38,7 @@ from .linktrace import (
     trace_components,
 )
 from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
-from .surfacescan import (SurfacePattern, Verdict, enumerate_patterns, scan_assignments,
-                          scan_fields, scannable_knot)
+from .surfacescan import scan_fields, scannable_knot
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
     Montesinos,
@@ -144,9 +144,14 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe early (e.g. `| head`); point stdout at
-        # devnull so the flush at interpreter exit cannot raise again
+    except KeyboardInterrupt:
+        sys.exit(130)
+    except OSError as exc:
+        # writing failed: the reader closed the pipe early (e.g. `| head`),
+        # which needs no message, or another error such as a full device;
+        # point stdout at devnull so the flush at exit cannot raise again
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     sys.exit(code)
@@ -272,15 +277,12 @@ def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
     if knot is not None:
         try:
-            structural = enumerate_patterns(knot)
+            structural = [row for row in _rows(knot) if row["structural"]]
         except DegenerateTangleError:
             lines.append("surfaces: not computed (degenerate twist parameters)")
             return lines
-        if structural:
-            lines.append("surfaces:")
-            lines.extend(f"  {_row_text(row)}" for row in structural)
-        else:
-            lines.append("surfaces: none")
+        lines.append("surfaces:" if structural else "surfaces: none")
+        lines.extend(f"  {_row_text(row)}" for row in structural)
     return lines
 
 
@@ -313,14 +315,26 @@ def _template(obj, pad: str) -> str:
     return re.sub(r'(?<!\\)"%%([ds])"', r"%\1", text).replace("\n", "\n" + pad)
 
 
-def _row(types: tuple[str, ...], verdict: Verdict, structural: bool) -> dict:
-    """A scan row with a %d field for each slope and, in a structural
-    row, for arcs, each sheet, chi and genus."""
-    measure = "%d" if structural else None
-    return {"types": "".join(types), "slopes": ["%d"] * 3, "arcs": measure,
-            "sheets": ["%d"] * 3 if structural else None, "chi": measure, "genus": measure,
+def _row(shape: tuple, ints) -> dict:
+    """A scan row's fields in output order, from one (types, verdict,
+    structural) shape of scan_fields and an iterator over its ints: the
+    slopes and, if structural, arcs, sheets, chi and genus."""
+    types, verdict, structural = shape
+    slopes = [next(ints), next(ints), next(ints)]
+    arcs = sheets = chi = genus = None
+    if structural:
+        arcs, *sheets, chi, genus = islice(ints, 6)
+    return {"types": "".join(types), "slopes": slopes, "arcs": arcs,
+            "sheets": sheets, "chi": chi, "genus": genus,
             "structural": structural, "verdict": "accepted" if verdict.accepted else "rejected",
             "family": verdict.family, "reason": verdict.reason}
+
+
+def _rows(knot: PretzelKnot) -> list[dict]:
+    """The eight scan rows of the knot as _row dicts, in scan order."""
+    shapes, values = scan_fields(knot)
+    ints = iter(values)
+    return [_row(shape, ints) for shape in shapes]
 
 
 @cache
@@ -342,7 +356,7 @@ def _report_template(report: RepReport, kind: str, mirror: bool | None,
         "rules": [{"name": rule.name, "citation": rule.citation, "sets": rule.sets,
                    "value": rule.value, "conditional": rule.conditional}
                   for rule in report.rules],
-        "surfaces": None if shapes is None else [_row(*shape) for shape in shapes],
+        "surfaces": None if shapes is None else [_row(shape, repeat("%d")) for shape in shapes],
     }, pad)
 
 
@@ -351,7 +365,7 @@ def _surfaces_template(mirror: bool, shapes: tuple) -> str:
     """A surfaces object with a %s field for the input and a %d field
     for each canonical entry, then those of the rows."""
     return _template({"input": "%s", "normalized": ["%d"] * 3, "mirror": mirror,
-                      "rows": [_row(*shape) for shape in shapes]}, "")
+                      "rows": [_row(shape, repeat("%d")) for shape in shapes]}, "")
 
 
 _LEMMA_ROW = _template(dict.fromkeys(("a", "b", "c", "k", "l", "d"), "%d"), "  ")
@@ -397,14 +411,13 @@ def _cmd_surfaces(args, out) -> None:
         out.write(_surfaces_template(knot.mirror, shapes) % (
             _quote(args.expr), *knot.canonical, *values) + "\n")
         return
-    rows = scan_assignments(knot)
+    rows = _rows(knot)
     if args.csv:
         table = csv_writer(out, lineterminator="\n")
         table.writerow(["types", "slope_1", "slope_2", "slope_3", "arcs",
                         "sheet_1", "sheet_2", "sheet_3", "chi", "genus",
                         "structural", "verdict", "family", "reason"])
-        for row in rows:
-            table.writerow(_row_csv(row))
+        table.writerows(map(_row_csv, rows))
     else:
         print(f"input: {args.expr}", file=out)
         print("normalized: P(%d,%d,%d)" % knot.canonical, file=out)
@@ -419,33 +432,18 @@ def _parse_pretzel_argument(text: str, command: str) -> PretzelTriple:
     return expression.triple
 
 
-def _row_text(row: SurfacePattern) -> str:
-    types = "".join(row.tangle_types)
-    s1, s2, s3 = row.boundary_slopes
-    text = f"types={types} slopes=({s1},{s2},{s3})"
-    if row.structural:
-        h1, h2, h3 = row.sheets
-        text += (f" arcs={row.arcs} sheets=({h1},{h2},{h3})"
-                 f" chi={row.chi} genus={row.genus_val}")
-    verdict = row.verdict
-    text += f" verdict={'accepted' if verdict.accepted else 'rejected'}"
-    if verdict.family is not None:
-        text += f" family={verdict.family}"
-    if verdict.reason is not None:
-        text += f" reason={verdict.reason}"
-    return text
+def _row_text(row: dict) -> str:
+    """A scan row as key=value words, a list as (a,b,c), without None or structural."""
+    return " ".join([f"{key}=({value[0]},{value[1]},{value[2]})" if isinstance(value, list)
+                     else f"{key}={value}"
+                     for key, value in row.items() if value is not None and key != "structural"])
 
 
-def _row_csv(row: SurfacePattern) -> list:
-    def opt(value):
-        return "" if value is None else value
-
-    sheets = row.sheets if row.sheets is not None else (None, None, None)
-    return ["".join(row.tangle_types), *row.boundary_slopes, opt(row.arcs),
-            *(opt(h) for h in sheets), opt(row.chi), opt(row.genus_val),
-            "true" if row.structural else "false",
-            "accepted" if row.verdict.accepted else "rejected",
-            opt(row.verdict.family), opt(row.verdict.reason)]
+def _row_csv(row: dict) -> list:
+    """A scan row as CSV cells; the csv writer writes None as empty."""
+    return [row["types"], *row["slopes"], row["arcs"], *(row["sheets"] or [None] * 3),
+            row["chi"], row["genus"], "true" if row["structural"] else "false", row["verdict"],
+            row["family"], row["reason"]]
 
 
 # --- lemma ---

@@ -14,6 +14,7 @@ import io
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -224,6 +225,31 @@ def test_closed_pipe_exits_1_without_traceback():
     _, err = child.communicate(timeout=60)
     assert b"Traceback" not in err
     assert err == b"" and child.returncode == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_full_device_exits_1_with_one_error_line():
+    # the output fits the stdout buffer, so the write fails at the final flush
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-m", "pretzelrep", "classify", "P(-2,3,5)"],
+                               stdout=full, stderr=subprocess.PIPE, text=True,
+                               env=child_env(), timeout=60)
+    assert "Traceback" not in child.stderr
+    assert (child.returncode, child.stderr) == (
+        1, "error: cannot write output: No space left on device\n")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_interrupt_exits_130_without_traceback():
+    # -60:60 as JSON runs for seconds, so the signal lands mid-range
+    child = subprocess.Popen(
+        [sys.executable, "-m", "pretzelrep", "classify", "--range", "-60:60", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    assert child.stdout.read(100).startswith(b"[\n  {")
+    child.send_signal(signal.SIGINT)
+    _, err = child.communicate(timeout=60)
+    assert b"Traceback" not in err
+    assert err == b"" and child.returncode == 130
 
 
 needs_int_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),

@@ -1,13 +1,19 @@
-"""Streamed JSON output against json.dumps(obj, indent=2).
+"""Streamed JSON output against json.dumps(obj, indent=2), and scan
+rows in text and CSV against a layout of the scan's own rows.
 
 The command line fills templates that json.dumps lays out once per
 output shape and streams a range report by report.  Here the expected
 output is built independently: dicts assembled from
 representativity_bounds and scan_assignments, encoded by json.dumps.
-The trace and lemma outputs are checked against their first rendering:
-the diagram as a list of lists, and one print per text line.
+The command line lays out every scan row, in each format, from the
+fields of scan_fields; the text and CSV rows are checked against lines
+and cells built here from the SurfacePattern rows of scan_assignments
+and enumerate_patterns.  The trace and lemma outputs are checked
+against their first rendering: the diagram as a list of lists, and one
+print per text line.
 """
 
+import csv
 import io
 import json
 from itertools import combinations_with_replacement
@@ -292,6 +298,72 @@ def test_surfaces_json_matches_json_dumps(triple):
     expected = {"input": text, "normalized": list(canonical),
                 "mirror": mirror, "rows": surfaces_obj(triple)}
     assert run_cli(["surfaces", text, "--json"]) == dumps(expected)
+
+
+def row_text(row) -> str:
+    """A scan row as the surfaces text and the classify surfaces: block print it."""
+    types = "".join(row.tangle_types)
+    s1, s2, s3 = row.boundary_slopes
+    text = f"types={types} slopes=({s1},{s2},{s3})"
+    if row.structural:
+        h1, h2, h3 = row.sheets
+        text += (f" arcs={row.arcs} sheets=({h1},{h2},{h3})"
+                 f" chi={row.chi} genus={row.genus_val}")
+    verdict = row.verdict
+    text += f" verdict={'accepted' if verdict.accepted else 'rejected'}"
+    if verdict.family is not None:
+        text += f" family={verdict.family}"
+    if verdict.reason is not None:
+        text += f" reason={verdict.reason}"
+    return text
+
+
+def row_csv(row) -> list:
+    """A scan row as the cells of surfaces --csv."""
+    def opt(value):
+        return "" if value is None else value
+
+    sheets = row.sheets if row.sheets is not None else (None, None, None)
+    return ["".join(row.tangle_types), *row.boundary_slopes, opt(row.arcs),
+            *(opt(h) for h in sheets), opt(row.chi), opt(row.genus_val),
+            "true" if row.structural else "false",
+            "accepted" if row.verdict.accepted else "rejected",
+            opt(row.verdict.family), opt(row.verdict.reason)]
+
+
+CSV_HEADER = ["types", "slope_1", "slope_2", "slope_3", "arcs", "sheet_1", "sheet_2",
+              "sheet_3", "chi", "genus", "structural", "verdict", "family", "reason"]
+
+
+@pytest.mark.parametrize("triple", SCANNABLE, ids=str)
+def test_surfaces_text_and_csv_match_the_scan(triple):
+    text = f"P( {triple.p}, {triple.q}, {triple.r} )"
+    rows = scan_assignments(triple)
+    lines = [f"input: {text}", "normalized: P(%d,%d,%d)" % canonical_entries(triple)[0],
+             *map(row_text, rows)]
+    assert run_cli(["surfaces", text]) == "".join(f"{line}\n" for line in lines)
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for row in rows:
+        writer.writerow(row_csv(row))
+    assert run_cli(["surfaces", text, "--csv"]) == table.getvalue()
+
+
+@pytest.mark.parametrize("triple", TRIPLES, ids=[str(tuple(t)) for t in TRIPLES])
+def test_classify_text_surfaces_block_matches_the_scan(triple):
+    try:
+        structural = enumerate_patterns(triple)
+    except DegenerateTangleError:
+        expected = ["surfaces: not computed (degenerate twist parameters)"]
+    else:
+        expected = (["surfaces:", *(f"  {row_text(row)}" for row in structural)]
+                    if structural else ["surfaces: none"])
+    p, q, r = triple
+    for text in (f"P({p},{q},{r})", f"M(1/{p}, 1/{q}, 1/{r})"):
+        lines = run_cli(["classify", text]).splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("surfaces"))
+        assert lines[start:] == expected, text
 
 
 class Chunks:

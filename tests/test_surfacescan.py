@@ -260,7 +260,8 @@ def scanned_fields(knot):
     return tuple((row.tangle_types, row.verdict, row.structural) for row in rows), tuple(values)
 
 
-# the existence-verdict tests check the shapes and values of scan_fields,
+# the test_existence_verdicts_* tests, named for the function that
+# scan_fields replaced, check the shapes and values of scan_fields,
 # screened or scanned, against the rows of scan_assignments
 @pytest.mark.parametrize("entries,canonical,structural", [
     ((3, 5, 7), (3, 5, 7), None),            # no negative entry
