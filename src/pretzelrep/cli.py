@@ -457,10 +457,8 @@ def _cmd_lemma(args, out) -> None:
     solutions = enumerate_solutions(args.max_c)
     if not args.json:
         _write_items(out, "", "%d %d %d | k=%d l=%d d=%d\n", solutions, "", "")
-    elif solutions:
-        _write_items(out, "[\n  ", _LEMMA_ROW, solutions, ",\n  ", "\n]\n")
     else:
-        out.write("[]\n")
+        _write_items(out, "[\n  ", _LEMMA_ROW, solutions, ",\n  ", "\n]\n")
 
 
 # lemma and trace write their rows this many at a time, under 600 KB

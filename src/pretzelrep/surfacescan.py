@@ -24,7 +24,7 @@ except d = 2 in the twin family and k = 2, d = 1 otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm
 from operator import itemgetter
@@ -93,6 +93,12 @@ _RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 _DENOMINATOR = Verdict(False, "common denominator exceeds the largest boundary slope")
 _SINGLE_DISK = Verdict(False, "single-disk region must meet the surface in one sheet")
 _PARALLEL_DISKS = Verdict(False, "parallel-disk region needs at least two sheets")
+# the verdicts of final_filter, one per family outcome
+_TYPE_1 = Verdict(True, None, "Type (1)")
+_TYPE_1_D = Verdict(False, "d=2 required; compressing disk exists", "Type (1)")
+_TYPE_2_D = Verdict(False, "d=1 required; compressing disk exists", "Type (2)")
+_TYPE_2_K = Verdict(False, "k=2 required; compressing disk exists", "Type (2)")
+_TYPE_2 = Verdict(True, None, "Type (2)")
 # the shapes of the eight rows when every row fails the sign pattern, or
 # every row the reciprocal sum, and where each row's slopes sit in
 # (p, q, r, p + 1, q + 1, r + 1)
@@ -117,23 +123,29 @@ def _unit_twist(entries: tuple[int, int, int]) -> DegenerateTangleError:
     return DegenerateTangleError(f"twist parameters must have absolute value >= 2, got {entries}")
 
 
-def _structural_reason(types, slopes) -> Verdict | None:
-    """The verdict of the existence filter these slopes fail, or None."""
+def _scan_row(types, slopes, knot: PretzelKnot) -> SurfacePattern:
+    """The row of one type assignment: no measures and the verdict of the
+    first existence filter its slopes fail, or its measures and the
+    verdict of final_filter."""
     x, y, z = slopes
-    if sum(1 for s in slopes if s < 0) != 1:
-        return _SIGN_PATTERN
-    if y * z + x * z + x * y != 0:  # 1/x + 1/y + 1/z = 0 cleared of fractions
-        return _RECIPROCAL_SUM
-    n = lcm(*(abs(s) for s in slopes))
-    if n != max(abs(s) for s in slopes):
-        return _DENOMINATOR
-    for ty, s in zip(types, slopes):
-        sheet = n // abs(s)
-        if ty == TYPE_B and sheet != 1:
-            return _SINGLE_DISK
-        if ty == TYPE_A and sheet < 2:
-            return _PARALLEL_DISKS
-    return None
+    measures = (None,) * 5
+    if (x < 0) + (y < 0) + (z < 0) != 1:
+        verdict = _SIGN_PATTERN
+    elif y * z + x * z + x * y != 0:  # 1/x + 1/y + 1/z = 0 cleared of fractions
+        verdict = _RECIPROCAL_SUM
+    elif (n := lcm(*(abs(s) for s in slopes))) != max(abs(s) for s in slopes):
+        verdict = _DENOMINATOR
+    else:
+        sheets = tuple(n // abs(s) for s in slopes)
+        # the first region whose type forbids its sheet count, if any
+        verdict = next((_SINGLE_DISK if ty == TYPE_B else _PARALLEL_DISKS
+                        for ty, sheet in zip(types, sheets)
+                        if (sheet != 1 if ty == TYPE_B else sheet < 2)), None)
+        if verdict is None:
+            chi = sum(sheets) - n
+            measures = (n, sheets, 2 * n, chi, _genus_from_chi(chi))
+            verdict = final_filter(types, slopes, knot)
+    return SurfacePattern(types, slopes, *measures, verdict)
 
 
 def scan_assignments(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
@@ -143,21 +155,9 @@ def scan_assignments(triple: tuple[int, int, int] | PretzelKnot) -> list[Surface
     data refer to the canonical (sorted, possibly mirrored) triple.
     """
     knot = scannable_knot(triple)
-    rows = []
-    for types in TYPINGS:
-        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, knot.canonical))
-        rejected = _structural_reason(types, slopes)
-        if rejected is not None:
-            rows.append(SurfacePattern(types, slopes, None, None, None, None, None, rejected))
-            continue
-        n = max(abs(s) for s in slopes)  # equals the lcm for structural survivors
-        sheets = tuple(n // abs(s) for s in slopes)
-        chi = sum(sheets) - n
-        # final_filter reads only the types and slopes of the row
-        row = SurfacePattern(types, slopes, n, sheets, 2 * n, chi,
-                             _genus_from_chi(chi), None)
-        rows.append(replace(row, verdict=final_filter(row, knot)))
-    return rows
+    return [_scan_row(types, tuple(m if ty == TYPE_A else m + 1
+                                   for ty, m in zip(types, knot.canonical)), knot)
+            for types in TYPINGS]
 
 
 def enumerate_patterns(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
@@ -241,8 +241,9 @@ def genus(pattern: SurfacePattern) -> int:
     return _genus_from_chi(euler_characteristic(pattern))
 
 
-def final_filter(pattern: SurfacePattern, triple: tuple[int, int, int] | PretzelKnot) -> Verdict:
-    """Sort a pattern into its slope family and apply the disk filters.
+def final_filter(types: tuple[str, str, str], slopes: tuple[int, int, int],
+                 triple: tuple[int, int, int] | PretzelKnot) -> Verdict:
+    """Sort a row's types and slopes into their family; apply the disk filters.
 
     The absolute slopes (a, b, c) = (-p', q', r') solve the
     reciprocal-sum lemma; with d = gcd(a, b), k = a/d, l = b/d every
@@ -257,16 +258,15 @@ def final_filter(pattern: SurfacePattern, triple: tuple[int, int, int] | Pretzel
     """
     canonical = (triple.canonical if isinstance(triple, PretzelKnot)
                  else canonical_entries(triple)[0])
-    rebuilt = tuple(s if ty == TYPE_A else s - 1
-                    for ty, s in zip(pattern.tangle_types, pattern.boundary_slopes))
+    rebuilt = tuple(s if ty == TYPE_A else s - 1 for ty, s in zip(types, slopes))
     if rebuilt != canonical:
         raise InvariantError(
             f"pattern rebuilds {rebuilt}, not the canonical triple {canonical}"
         )
-    negatives = [s for s in pattern.boundary_slopes if s < 0]
-    positives = sorted(s for s in pattern.boundary_slopes if s > 0)
+    negatives = [s for s in slopes if s < 0]
+    positives = sorted(s for s in slopes if s > 0)
     if len(negatives) != 1 or len(positives) != 2:
-        raise InvariantError(f"slopes {pattern.boundary_slopes} have no sign pattern (-,+,+)")
+        raise InvariantError(f"slopes {slopes} have no sign pattern (-,+,+)")
     a = -negatives[0]
     b, c = positives
     d = gcd(a, b)
@@ -275,10 +275,10 @@ def final_filter(pattern: SurfacePattern, triple: tuple[int, int, int] | Pretzel
         raise InvariantError(f"({a},{b},{c}) is not a solution with l = k + 1, c = kld")
     if k == 1:
         if d == 2:
-            return Verdict(True, None, "Type (1)")
-        return Verdict(False, "d=2 required; compressing disk exists", "Type (1)")
+            return _TYPE_1
+        return _TYPE_1_D
     if d != 1:
-        return Verdict(False, "d=1 required; compressing disk exists", "Type (2)")
+        return _TYPE_2_D
     if k != 2:
-        return Verdict(False, "k=2 required; compressing disk exists", "Type (2)")
-    return Verdict(True, None, "Type (2)")
+        return _TYPE_2_K
+    return _TYPE_2

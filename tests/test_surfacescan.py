@@ -19,6 +19,7 @@ from pretzelrep import (
     final_filter,
     genus,
     is_knot,
+    parametrize,
     pretzel_knot,
     scan_assignments,
     scan_fields,
@@ -192,7 +193,7 @@ def test_genus_rejects_odd_characteristic():
 def test_final_filter_rejects_mismatched_triple():
     pattern = _single_pattern(-2, 3, 3)
     with pytest.raises(InvariantError):
-        final_filter(pattern, PretzelTriple(-2, 3, 5))
+        final_filter(pattern.tangle_types, pattern.boundary_slopes, PretzelTriple(-2, 3, 5))
 
 
 def test_final_filter_rejects_row_outside_the_consecutive_family():
@@ -201,7 +202,7 @@ def test_final_filter_rejects_row_outside_the_consecutive_family():
     verdict = Verdict(False, "synthetic", None)
     row = SurfacePattern(("A", "B", "A"), (-6, 10, 15), 30, (5, 3, 2), 60, -20, 11, verdict)
     with pytest.raises(InvariantError):
-        final_filter(row, (-6, 9, 15))
+        final_filter(row.tangle_types, row.boundary_slopes, (-6, 9, 15))
 
 
 _STRUCTURAL_REASONS = {
@@ -223,7 +224,7 @@ def test_patterns_reconstruct_their_triple():
         rows = scan_assignments(triple)
         for row in rows:
             if row.structural:
-                assert final_filter(row, triple) == row.verdict
+                assert final_filter(row.tangle_types, row.boundary_slopes, triple) == row.verdict
                 assert euler_characteristic(row) == row.chi
             else:
                 assert (row.arcs, row.sheets, row.longitudes, row.chi,
@@ -322,6 +323,40 @@ def test_existence_verdicts_match_the_scan():
     assert structural == 32
 
 
+def _knot_scans(bound):
+    """scan_assignments of every knot triple with entries in [-bound, bound]."""
+    values = [v for v in range(-bound, bound + 1) if abs(v) >= 2]
+    return [scan_assignments(entries) for entries in combinations_with_replacement(values, 3)
+            if knot_components(entries) == 1]
+
+
+def test_scan_rows_share_at_most_ten_verdicts():
+    # five existence verdicts and five family verdicts, each one object;
+    # the rows are held, so no id is reused by a freed verdict
+    rows = [row for scan in _knot_scans(25) for row in scan]
+    assert len(rows) == 8 * 9800
+    assert len({id(row.verdict) for row in rows}) <= 10
+
+
+def test_structural_rows_match_the_closed_form():
+    # each structural row is one (k, d) of the consecutive family l = k + 1
+    scanned = {(row.tangle_types, row.boundary_slopes, row.sheets, row.verdict.accepted)
+               for scan in _knot_scans(25) for row in scan if row.structural}
+    closed = set()
+    for k in range(1, 26):
+        for d in range(1, 26 // (k * (k + 1)) + 1):
+            a, b, c = parametrize(k, k + 1, d)
+            types = ("A", "A" if k >= 2 else "B", "B")
+            slopes = (-a, b, c)
+            entries = [s - (ty == "B") for ty, s in zip(types, slopes)]
+            if all(2 <= abs(m) <= 25 for m in entries) and sum(m % 2 == 0 for m in entries) <= 1:
+                accepted = (k, d) in ((1, 2), (2, 1))
+                closed.add((types, slopes, (k + 1, k, 1), accepted))
+    assert scanned == closed
+    assert len(closed) == 16
+    assert sum(accepted for *_, accepted in closed) == 2
+
+
 def _outcome(call, *args):
     """call(*args), or the type and message of its error."""
     try:
@@ -344,7 +379,8 @@ def test_library_calls_take_plain_tuples():
             outcomes[call.__name__, result[0] if isinstance(result, tuple) else "ok"] += 1
         rows = _outcome(scan_assignments, entries)
         for row in [row_233, *(r for r in rows if isinstance(r, SurfacePattern) and r.structural)]:
-            assert _outcome(final_filter, row, entries) == _outcome(final_filter, row, triple)
+            assert (_outcome(final_filter, row.tangle_types, row.boundary_slopes, entries)
+                    == _outcome(final_filter, row.tangle_types, row.boundary_slopes, triple))
     # the box reaches every check: zero twists, unit twists, links, knots
     assert {kind for _, kind in outcomes} == {"ok", DegenerateTangleError, NotAKnotError}
     assert outcomes["scan_assignments", "ok"] > 0
