@@ -25,7 +25,6 @@ from .tanglecalc import (
     Closure,
     Montesinos,
     Pretzel,
-    PretzelTriple,
     RationalTangle,
     Sum,
     TangleExpr,

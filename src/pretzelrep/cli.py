@@ -43,7 +43,6 @@ from .slopelemma import enumerate_solutions
 from .tanglecalc import (
     Montesinos,
     Pretzel,
-    PretzelTriple,
     RationalTangle,
     Sum,
     TangleExpr,
@@ -425,7 +424,7 @@ def _cmd_surfaces(args, out) -> None:
             print(_row_text(row), file=out)
 
 
-def _parse_pretzel_argument(text: str, command: str) -> PretzelTriple:
+def _parse_pretzel_argument(text: str, command: str) -> tuple[int, int, int]:
     expression = parse_expr(text)
     if not isinstance(expression, Pretzel):
         raise UnsupportedInputError(f"{command} expects a pretzel form P(p,q,r)")

@@ -202,7 +202,7 @@ def pretzel_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
     error; otherwise canonicalize it.  A PretzelKnot passes through."""
     if isinstance(triple, PretzelKnot):
         return triple
-    entries = tuple(triple)  # a plain tuple, so messages print (p, q, r)
+    entries = tuple(triple)  # a list or other sequence becomes a plain tuple
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
     components = knot_components(entries)

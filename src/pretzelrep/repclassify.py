@@ -144,7 +144,7 @@ _TORUS_REPORTS = {
 
 def torus_pretzel(triple: tuple[int, int, int]) -> TorusInfo | None:
     """Torus knot data for the few pretzel triples that are torus knots."""
-    entries = tuple(triple)  # a plain tuple, so the message prints (p, q, r)
+    entries = tuple(triple)  # a list or other sequence prints as (p, q, r)
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
     report = _TORUS_REPORTS.get(canonical_entries(entries))

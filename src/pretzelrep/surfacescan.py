@@ -31,7 +31,6 @@ from operator import itemgetter
 
 from .errors import DegenerateTangleError, InvariantError
 from .linktrace import PretzelKnot, pretzel_knot
-from .tanglecalc import canonical_entries
 
 __all__ = [
     "TYPE_A",
@@ -253,11 +252,10 @@ def final_filter(types: tuple[str, str, str], slopes: tuple[int, int, int],
     Type (1) and surviving only for d = 2; the rest is Type (2),
     surviving only for k = 2, d = 1.  In every other case two adjacent
     sheets are joined by a compressing disk meeting the knot twice.  A
-    PretzelKnot brings its canonical triple; a plain triple is
-    normalized here.
+    PretzelKnot brings its canonical triple; a plain triple goes through
+    scannable_knot, so bad input raises the scan's own domain error.
     """
-    canonical = (triple.canonical if isinstance(triple, PretzelKnot)
-                 else canonical_entries(triple)[0])
+    canonical = scannable_knot(triple).canonical
     rebuilt = tuple(s if ty == TYPE_A else s - 1 for ty, s in zip(types, slopes))
     if rebuilt != canonical:
         raise InvariantError(

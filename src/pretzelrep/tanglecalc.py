@@ -26,14 +26,13 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import Union
 
 from .errors import ParseError, ShapeError
 
 __all__ = [
     "RationalTangle",
     "Sum",
-    "PretzelTriple",
     "Pretzel",
     "Montesinos",
     "Closure",
@@ -63,20 +62,11 @@ class Sum:
     right: "TangleExpr"
 
 
-class PretzelTriple(NamedTuple):
-    """Twist parameters (p, q, r) of a 3-strand pretzel diagram; being
-    a tuple, it goes wherever a plain (p, q, r) tuple does."""
-
-    p: int
-    q: int
-    r: int
-
-
 @dataclass(frozen=True)
 class Pretzel:
-    """A (p, q, r)-pretzel written P(p,q,r)."""
+    """A (p, q, r)-pretzel written P(p,q,r); triple is a plain, unchecked tuple."""
 
-    triple: PretzelTriple
+    triple: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -229,7 +219,7 @@ class _Parser:
         self.expect(",")
         r = self.integer()
         self.expect(")")
-        return Pretzel(PretzelTriple(p, q, r))
+        return Pretzel((p, q, r))
 
     def montesinos(self) -> Montesinos:
         self.expect("M")

@@ -9,7 +9,6 @@ from pretzelrep import (
     Closure,
     Montesinos,
     Pretzel,
-    PretzelTriple,
     RationalTangle,
     Sum,
     TangleExpr,
@@ -28,7 +27,7 @@ def random_tangle(rng: Random, depth: int = 0) -> TangleExpr:
     if kind == "rational":
         return RationalTangle(random_rational(rng))
     if kind == "pretzel":
-        return Pretzel(PretzelTriple(*(rng.randint(-9, 9) for _ in range(3))))
+        return Pretzel(tuple(rng.randint(-9, 9) for _ in range(3)))
     if kind == "montesinos":
         count = rng.randint(1, 4)
         return Montesinos(tuple(random_rational(rng) for _ in range(count)))

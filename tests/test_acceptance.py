@@ -13,7 +13,6 @@ from test_cli import CASES, run_cli
 
 from pretzelrep import (
     Pretzel,
-    PretzelTriple,
     SlopeCondition,
     TorusInfo,
     brute_force_solutions,
@@ -54,7 +53,7 @@ def test_criterion_1_desk_scale_scan():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        triple = PretzelTriple(*entries)
+        triple = tuple(entries)
         if any(p.verdict.accepted for p in enumerate_patterns(triple)):
             accepted.add(_canonical(entries))
         if representativity_bounds(Pretzel(triple)).exact == 3:
@@ -67,13 +66,13 @@ def test_criterion_1_desk_scale_scan():
 
 def test_criterion_2_survivor_patterns_exact():
     ok = True
-    (p233,) = enumerate_patterns(PretzelTriple(-2, 3, 3))
+    (p233,) = enumerate_patterns((-2, 3, 3))
     ok &= p233.tangle_types == ("A", "B", "B")
     ok &= p233.boundary_slopes == (-2, 4, 4)
     ok &= (p233.arcs, p233.sheets, p233.longitudes) == (4, (2, 1, 1), 8)
     ok &= (p233.chi, p233.genus_val) == (0, 1)
     ok &= p233.verdict.accepted and p233.verdict.family == "Type (1)"
-    (p235,) = enumerate_patterns(PretzelTriple(-2, 3, 5))
+    (p235,) = enumerate_patterns((-2, 3, 5))
     ok &= p235.tangle_types == ("A", "A", "B")
     ok &= p235.boundary_slopes == (-2, 3, 6)
     ok &= (p235.arcs, p235.sheets, p235.longitudes) == (6, (3, 2, 1), 12)
@@ -106,7 +105,7 @@ def test_criterion_4_closed_form_euler_characteristic():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        for pattern in enumerate_patterns(PretzelTriple(*entries)):
+        for pattern in enumerate_patterns(tuple(entries)):
             a = -min(pattern.boundary_slopes)
             ok &= pattern.chi == pattern.arcs * (Fraction(2, a) - 1)
             ok &= genus(pattern) == (2 - pattern.chi) // 2
@@ -121,8 +120,8 @@ def test_criterion_5_tracing_matches_parity():
         evens = sum(1 for e in entries if e % 2 == 0)
         count = component_count(pretzel_diagram(entries))
         ok &= count == max(1, evens)
-        ok &= is_knot(PretzelTriple(*entries)) is (count == 1)
-    ok &= is_knot(PretzelTriple(-2, 3, 3)) and is_knot(PretzelTriple(-2, 3, 5))
+        ok &= is_knot(tuple(entries)) is (count == 1)
+    ok &= is_knot((-2, 3, 3)) and is_knot((-2, 3, 5))
     _check(5, "diagram tracing over [-9,9] reproduces the parity "
               "component count rule", bool(ok))
 
@@ -136,12 +135,12 @@ def test_criterion_6_slope_condition_reference_values():
 
 
 def test_criterion_7_torus_identification():
-    ok = torus_pretzel(PretzelTriple(-2, 3, 3)) == TorusInfo((3, 4))
-    ok &= torus_pretzel(PretzelTriple(2, -3, -3)) == TorusInfo((3, -4))
-    ok &= torus_pretzel(PretzelTriple(-2, 3, 5)) == TorusInfo((3, 5))
-    ok &= torus_pretzel(PretzelTriple(2, -3, -5)) == TorusInfo((3, -5))
-    ok &= torus_pretzel(PretzelTriple(1, 1, 1)) == TorusInfo(None)
-    ok &= torus_pretzel(PretzelTriple(-1, -1, -1)) == TorusInfo(None)
+    ok = torus_pretzel((-2, 3, 3)) == TorusInfo((3, 4))
+    ok &= torus_pretzel((2, -3, -3)) == TorusInfo((3, -4))
+    ok &= torus_pretzel((-2, 3, 5)) == TorusInfo((3, 5))
+    ok &= torus_pretzel((2, -3, -5)) == TorusInfo((3, -5))
+    ok &= torus_pretzel((1, 1, 1)) == TorusInfo(None)
+    ok &= torus_pretzel((-1, -1, -1)) == TorusInfo(None)
     torus_canonicals = {(-2, 3, 3), (-2, 3, 5), (1, 1, 1)}
     rng = Random(5113)
     checked = 0
@@ -150,7 +149,7 @@ def test_criterion_7_torus_identification():
                         for _ in range(3))
         if _canonical(entries) in torus_canonicals:
             continue
-        ok &= torus_pretzel(PretzelTriple(*entries)) is None
+        ok &= torus_pretzel(tuple(entries)) is None
         checked += 1
     _check(7, "torus parameters for the special triples and None on 200 "
               "seeded random others", bool(ok))

@@ -11,7 +11,6 @@ from pretzelrep import (
     InvalidParameterError,
     InvalidPDCodeError,
     NotAKnotError,
-    PretzelTriple,
     canonical_entries,
     component_count,
     is_knot,
@@ -58,10 +57,10 @@ def test_component_examples():
 
 
 def test_is_knot_examples():
-    assert is_knot(PretzelTriple(-2, 3, 3)) is True
-    assert is_knot(PretzelTriple(3, 5, 7)) is True
-    assert is_knot(PretzelTriple(2, 4, 5)) is False
-    assert is_knot(PretzelTriple(2, 2, 2)) is False
+    assert is_knot((-2, 3, 3)) is True
+    assert is_knot((3, 5, 7)) is True
+    assert is_knot((2, 4, 5)) is False
+    assert is_knot((2, 2, 2)) is False
 
 
 def test_zero_twist_rejected():
@@ -70,7 +69,7 @@ def test_zero_twist_rejected():
     with pytest.raises(DegenerateTangleError):
         pretzel_diagram([])
     with pytest.raises(DegenerateTangleError):
-        is_knot(PretzelTriple(2, 0, 3))
+        is_knot((2, 0, 3))
 
 
 def test_malformed_code_rejected():
@@ -87,7 +86,7 @@ def test_tracing_matches_parity_window():
     for entries in product(values, repeat=3):
         count = component_count(pretzel_diagram(entries))
         assert count == _parity_components(entries), entries
-        assert is_knot(PretzelTriple(*entries)) is (count == 1)
+        assert is_knot(tuple(entries)) is (count == 1)
 
 
 def test_fast_parity_helper_matches_tracing():
@@ -120,10 +119,10 @@ def test_not_a_knot_message_counts_traced_components():
     for entries in product(values, repeat=3):
         traced = component_count(pretzel_diagram(entries))
         if traced == 1:
-            assert pretzel_knot(PretzelTriple(*entries)).entries == entries
+            assert pretzel_knot(tuple(entries)).entries == entries
             continue
         with pytest.raises(NotAKnotError) as info:
-            pretzel_knot(PretzelTriple(*entries))
+            pretzel_knot(tuple(entries))
         assert str(info.value) == f"not a knot ({traced} components)", entries
 
 
@@ -150,10 +149,10 @@ def test_tuple_and_triple_inputs_agree():
     outcomes = Counter()
     for entries in product(values, repeat=3):
         from_tuple = _outcome(entries)
-        assert from_tuple == _outcome(PretzelTriple(*entries)), entries
+        assert from_tuple == _outcome(list(entries)), entries
         outcomes[from_tuple[0] if isinstance(from_tuple, tuple) else "knot"] += 1
         canonical, mirror = canonical_entries(entries)
-        assert (canonical, mirror) == canonical_entries(PretzelTriple(*entries))
+        assert (canonical, mirror) == canonical_entries(list(entries))
         assert (canonical, mirror) == _brute_canonical(entries), entries
     # the box holds knots, zero twists and links
     assert set(outcomes) == {"knot", DegenerateTangleError, NotAKnotError}

@@ -8,7 +8,6 @@ from pretzelrep import (
     InvalidParameterError,
     NotAKnotError,
     Pretzel,
-    PretzelTriple,
     RepReport,
     TorusInfo,
     UnsupportedInputError,
@@ -32,14 +31,14 @@ def _bounds(text) -> RepReport:
 
 
 def test_torus_pretzel_lookup():
-    assert torus_pretzel(PretzelTriple(-2, 3, 3)) == TorusInfo((3, 4))
-    assert torus_pretzel(PretzelTriple(2, -3, -3)) == TorusInfo((3, -4))
-    assert torus_pretzel(PretzelTriple(-2, 3, 5)) == TorusInfo((3, 5))
-    assert torus_pretzel(PretzelTriple(2, -3, -5)) == TorusInfo((3, -5))
-    assert torus_pretzel(PretzelTriple(1, 1, 1)) == TorusInfo(None)
-    assert torus_pretzel(PretzelTriple(-1, -1, -1)) == TorusInfo(None)
-    assert torus_pretzel(PretzelTriple(-3, 5, 5)) is None
-    assert torus_pretzel(PretzelTriple(3, 5, 7)) is None
+    assert torus_pretzel((-2, 3, 3)) == TorusInfo((3, 4))
+    assert torus_pretzel((2, -3, -3)) == TorusInfo((3, -4))
+    assert torus_pretzel((-2, 3, 5)) == TorusInfo((3, 5))
+    assert torus_pretzel((2, -3, -5)) == TorusInfo((3, -5))
+    assert torus_pretzel((1, 1, 1)) == TorusInfo(None)
+    assert torus_pretzel((-1, -1, -1)) == TorusInfo(None)
+    assert torus_pretzel((-3, 5, 5)) is None
+    assert torus_pretzel((3, 5, 7)) is None
 
 
 def test_tangle_string_bound():
@@ -77,11 +76,11 @@ def test_degenerate_classification():
     assert names == ["bridge-number-bound", "small-twist-reduction",
                      "torus-knot-identification"]
     for entries, bridge in [((-2, 3, 5), 3), ((-3, 5, 7), 3), ((1, 1, 1), 2), ((1, 3, 3), 2)]:
-        assert representativity_bounds(Pretzel(PretzelTriple(*entries))).bridge_upper == bridge
+        assert representativity_bounds(Pretzel(tuple(entries))).bridge_upper == bridge
     with pytest.raises(NotAKnotError):
-        representativity_bounds(Pretzel(PretzelTriple(2, 4, 6)))
+        representativity_bounds(Pretzel((2, 4, 6)))
     with pytest.raises(DegenerateTangleError):
-        representativity_bounds(Pretzel(PretzelTriple(0, 3, 3)))
+        representativity_bounds(Pretzel((0, 3, 3)))
 
 
 def test_montesinos_input():
@@ -123,9 +122,9 @@ def test_link_input_rejected():
 
 def test_permutation_gives_identical_report():
     for entries in [(-2, 3, 5), (-3, 5, 5), (1, 3, 5)]:
-        reference = representativity_bounds(Pretzel(PretzelTriple(*entries)))
+        reference = representativity_bounds(Pretzel(tuple(entries)))
         for perm in permutations(entries):
-            report = representativity_bounds(Pretzel(PretzelTriple(*perm)))
+            report = representativity_bounds(Pretzel(tuple(perm)))
             assert report == reference
 
 
@@ -134,9 +133,9 @@ def test_mirror_preserves_bounds():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        triple = PretzelTriple(*entries)
+        triple = tuple(entries)
         report = representativity_bounds(Pretzel(triple))
-        mirror = representativity_bounds(Pretzel(PretzelTriple(*(-e for e in entries))))
+        mirror = representativity_bounds(Pretzel(tuple(-e for e in entries)))
         assert (report.lower, report.upper, report.exact) == (
             mirror.lower, mirror.upper, mirror.exact)
         assert [r.name for r in report.rules] == [r.name for r in mirror.rules]
@@ -159,7 +158,7 @@ def test_rules_replay_to_reported_bounds():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        report = representativity_bounds(Pretzel(PretzelTriple(*entries)))
+        report = representativity_bounds(Pretzel(tuple(entries)))
         assert _replay(report) == (report.lower, report.upper, report.exact)
     for text in ["C((1/3+1/5)+(1/2+1/7))", "C(1/3+(1/2+1/5))"]:
         report = _bounds(text)
@@ -177,7 +176,7 @@ def _per_call_report(entries) -> RepReport:
     else:
         rule = ("representativity-at-most-two", "upper", 2)
     rules = [("bridge-number-bound", "upper", 3), rule]
-    torus = torus_pretzel(PretzelTriple(*entries))
+    torus = torus_pretzel(tuple(entries))
     if torus is not None:
         rules.append(("torus-knot-identification", None, None))
     return RepReport(lower, upper, exact, tuple(AppliedRule(name, CITATIONS[name], sets, value)

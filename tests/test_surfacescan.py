@@ -10,7 +10,6 @@ from pretzelrep import (
     InvariantError,
     NotAKnotError,
     PretzelRepError,
-    PretzelTriple,
     SurfacePattern,
     Verdict,
     enumerate_patterns,
@@ -31,7 +30,7 @@ from pretzelrep.surfacescan import TYPINGS
 
 
 def _single_pattern(p, q, r):
-    patterns = enumerate_patterns(PretzelTriple(p, q, r))
+    patterns = enumerate_patterns((p, q, r))
     assert len(patterns) == 1
     return patterns[0]
 
@@ -61,7 +60,7 @@ def test_pattern_for_235():
 
 
 def test_no_pattern_for_237():
-    assert enumerate_patterns(PretzelTriple(-2, 3, 7)) == []
+    assert enumerate_patterns((-2, 3, 7)) == []
 
 
 def test_twin_family_rejected_above_d_two():
@@ -102,13 +101,13 @@ def test_consecutive_family_rejected_above_d_one():
 
 
 def test_mirror_and_permutation_give_same_patterns():
-    reference = enumerate_patterns(PretzelTriple(-2, 3, 3))
-    assert enumerate_patterns(PretzelTriple(2, -3, -3)) == reference
-    assert enumerate_patterns(PretzelTriple(3, -2, 3)) == reference
+    reference = enumerate_patterns((-2, 3, 3))
+    assert enumerate_patterns((2, -3, -3)) == reference
+    assert enumerate_patterns((3, -2, 3)) == reference
 
 
 def test_scan_rows_for_233():
-    rows = scan_assignments(PretzelTriple(-2, 3, 3))
+    rows = scan_assignments((-2, 3, 3))
     assert len(rows) == 8
     assert [r.tangle_types for r in rows] == [
         ("A", "A", "A"), ("A", "A", "B"), ("A", "B", "A"), ("A", "B", "B"),
@@ -126,32 +125,32 @@ def test_scan_rows_for_233():
 
 def test_scan_structural_failure_reasons():
     # slopes (-2,3,5) miss the reciprocal sum
-    rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-2, 3, 5))}
+    rows = {r.tangle_types: r for r in scan_assignments((-2, 3, 5))}
     assert rows[("A", "A", "A")].verdict.reason == "boundary slopes fail 1/p' + 1/q' + 1/r' = 0"
     # all-positive and doubly-negative sign patterns
-    rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(3, 5, 7))}
+    rows = {r.tangle_types: r for r in scan_assignments((3, 5, 7))}
     assert rows[("A", "A", "A")].verdict.reason == "requires exactly one negative boundary slope"
     # (-6,9,15) with types ABA reaches slopes (-6,10,15) where
     # lcm(6,10,15) = 30 > 15
-    rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-6, 9, 15))}
+    rows = {r.tangle_types: r for r in scan_assignments((-6, 9, 15))}
     assert rows[("A", "B", "A")].verdict.reason == "common denominator exceeds the largest boundary slope"
     # (-3,3,4) with types BBA reaches slopes (-2,4,4) where the first
     # region is single-disk but carries 2 sheets
-    rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-3, 3, 4))}
+    rows = {r.tangle_types: r for r in scan_assignments((-3, 3, 4))}
     assert rows[("B", "B", "A")].verdict.reason == "single-disk region must meet the surface in one sheet"
     # (-3,5,6) with types ABA reaches slopes (-3,6,6) where the last
     # region is parallel-disk but carries a single sheet
-    rows = {r.tangle_types: r for r in scan_assignments(PretzelTriple(-3, 5, 6))}
+    rows = {r.tangle_types: r for r in scan_assignments((-3, 5, 6))}
     assert rows[("A", "B", "A")].verdict.reason == "parallel-disk region needs at least two sheets"
 
 
 def test_scan_rejects_bad_triples():
     with pytest.raises(DegenerateTangleError):
-        scan_assignments(PretzelTriple(1, 3, 3))
+        scan_assignments((1, 3, 3))
     with pytest.raises(DegenerateTangleError):
-        scan_assignments(PretzelTriple(0, 3, 3))
+        scan_assignments((0, 3, 3))
     with pytest.raises(NotAKnotError):
-        enumerate_patterns(PretzelTriple(2, 4, 6))
+        enumerate_patterns((2, 4, 6))
 
 
 def test_euler_characteristic_recomputes():
@@ -193,7 +192,7 @@ def test_genus_rejects_odd_characteristic():
 def test_final_filter_rejects_mismatched_triple():
     pattern = _single_pattern(-2, 3, 3)
     with pytest.raises(InvariantError):
-        final_filter(pattern.tangle_types, pattern.boundary_slopes, PretzelTriple(-2, 3, 5))
+        final_filter(pattern.tangle_types, pattern.boundary_slopes, (-2, 3, 5))
 
 
 def test_final_filter_rejects_row_outside_the_consecutive_family():
@@ -219,7 +218,7 @@ def test_patterns_reconstruct_their_triple():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        triple = PretzelTriple(*entries)
+        triple = tuple(entries)
         canonical, _ = canonical_entries(triple)
         rows = scan_assignments(triple)
         for row in rows:
@@ -274,7 +273,7 @@ def scanned_fields(knot):
     ((-3, 5, 5), (-3, 5, 5), (("A", "B", "B"),)),  # structural, then rejected
 ], ids=str)
 def test_existence_verdicts_by_sign_class(entries, canonical, structural):
-    knot = pretzel_knot(PretzelTriple(*entries))
+    knot = pretzel_knot(tuple(entries))
     assert knot.canonical == canonical
     shapes, values = scan_fields(knot)
     assert (shapes, values) == scanned_fields(knot)
@@ -304,7 +303,7 @@ def test_existence_verdicts_match_the_scan():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        knot = pretzel_knot(PretzelTriple(*entries))
+        knot = pretzel_knot(tuple(entries))
         rows = scan_assignments(knot)
         assert [row.tangle_types for row in rows] == list(TYPINGS)
         assert scan_fields(knot) == scanned_fields(knot), entries
@@ -366,12 +365,12 @@ def _outcome(call, *args):
 
 
 def test_library_calls_take_plain_tuples():
-    # every call that takes a PretzelTriple also takes its (p, q, r)
-    # tuple, with the same result or the same error
-    row_233 = enumerate_patterns(PretzelTriple(-2, 3, 3))[0]
+    # every call that takes a (p, q, r) tuple also takes it as a list,
+    # with the same result or the same error
+    row_233 = enumerate_patterns((-2, 3, 3))[0]
     outcomes = Counter()
     for entries in product(range(-6, 7), repeat=3):
-        triple = PretzelTriple(*entries)
+        triple = list(entries)
         for call in (pretzel_knot, scannable_knot, scan_assignments, enumerate_patterns,
                      is_knot, torus_pretzel):
             result = _outcome(call, entries)
@@ -384,8 +383,17 @@ def test_library_calls_take_plain_tuples():
     # the box reaches every check: zero twists, unit twists, links, knots
     assert {kind for _, kind in outcomes} == {"ok", DegenerateTangleError, NotAKnotError}
     assert outcomes["scan_assignments", "ok"] > 0
-    # a PretzelTriple is itself a tuple, but the knot keeps a plain one
-    assert type(pretzel_knot(PretzelTriple(-2, 3, 5)).entries) is tuple
+    # a list goes in, but the knot keeps a plain tuple
+    assert type(pretzel_knot([-2, 3, 5]).entries) is tuple
+
+
+@pytest.mark.parametrize("triple", [(0, 3, 5), (1, 3, 5), (1, 2, 4), (2, 4, 6)], ids=str)
+def test_final_filter_raises_the_scan_domain_error(triple):
+    # a zero twist, a unit twist or a link is the caller's error, not an
+    # internal one: final_filter raises what the scan's gate raises
+    expected = _outcome(scannable_knot, triple)
+    assert expected[0] in (DegenerateTangleError, NotAKnotError)
+    assert _outcome(final_filter, ("A", "A", "B"), (-2, 3, 6), triple) == expected
 
 
 RECIPROCAL_SUM_ROWS = tuple((types, RECIPROCAL_SUM, False) for types in TYPINGS)

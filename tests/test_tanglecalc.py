@@ -13,7 +13,6 @@ from pretzelrep import (
     Montesinos,
     ParseError,
     Pretzel,
-    PretzelTriple,
     RationalTangle,
     ShapeError,
     Sum,
@@ -26,7 +25,8 @@ from pretzelrep import (
 
 
 def test_parse_pretzel():
-    assert parse_expr("P(-2,3,5)") == Pretzel(PretzelTriple(-2, 3, 5))
+    assert parse_expr("P(-2,3,5)") == Pretzel((-2, 3, 5))
+    assert type(parse_expr("P(-2,3,5)").triple) is tuple
 
 
 def test_parse_rational_and_integer():
@@ -144,9 +144,9 @@ def test_round_trip_seeded_trees():
 
 
 def test_normalize_examples():
-    assert canonical_entries(PretzelTriple(3, -2, 3)) == ((-2, 3, 3), False)
-    assert canonical_entries(PretzelTriple(2, -3, -5)) == ((-2, 3, 5), True)
-    assert canonical_entries(PretzelTriple(5, 3, -2)) == ((-2, 3, 5), False)
+    assert canonical_entries((3, -2, 3)) == ((-2, 3, 3), False)
+    assert canonical_entries((2, -3, -5)) == ((-2, 3, 5), True)
+    assert canonical_entries((5, 3, -2)) == ((-2, 3, 5), False)
 
 
 def test_normalize_idempotent_and_permutation_invariant():
@@ -154,19 +154,19 @@ def test_normalize_idempotent_and_permutation_invariant():
     for p in values:
         for q in values:
             for r in values:
-                canonical, _ = canonical_entries(PretzelTriple(p, q, r))
+                canonical, _ = canonical_entries((p, q, r))
                 again, mirror = canonical_entries(canonical)
                 assert again == canonical and mirror is False
-                swapped, _ = canonical_entries(PretzelTriple(q, r, p))
+                swapped, _ = canonical_entries((q, r, p))
                 assert swapped == canonical
 
 
 def test_normalize_mirror_pairs():
     # a nonzero triple is never its own mirror, so the flag must flip
     for entries in [(-2, 3, 3), (1, 1, 1), (-3, 5, 5), (2, 4, 7)]:
-        triple = PretzelTriple(*entries)
+        triple = tuple(entries)
         canonical, mirror = canonical_entries(triple)
-        other, other_mirror = canonical_entries(PretzelTriple(*(-e for e in entries)))
+        other, other_mirror = canonical_entries(tuple(-e for e in entries))
         assert other == canonical
         assert other_mirror is not mirror
 
