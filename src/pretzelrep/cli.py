@@ -16,6 +16,7 @@ import os
 import re
 import sys
 from bisect import bisect_left
+from contextlib import redirect_stdout
 from csv import writer as csv_writer
 from functools import cache
 from itertools import islice, repeat
@@ -46,7 +47,6 @@ from .tanglecalc import (
     RationalTangle,
     Sum,
     TangleExpr,
-    is_large_algebraic,
     max_digits,
     parse_expr,
     print_expr,
@@ -56,9 +56,9 @@ __all__ = ["run", "main", "build_parser"]
 
 _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
-# largest lemma --max: about 2.5 s and 131 MB, as text or JSON
+# largest lemma --max: about 1.9-2.4 s and 131-133 MB, as text or JSON
 LEMMA_MAX = 200_000
-# widest classify --range box, e.g. -60:60: about 1.0 s as text, 3.0 s as JSON
+# widest classify --range box, e.g. -60:60: 0.8-1.0 s as text, 2.9-3.2 s as JSON
 RANGE_MAX_WIDTH = 121
 
 
@@ -123,7 +123,8 @@ def run(argv: list[str] | None = None,
     parser = build_parser()
     try:
         try:
-            args = parser.parse_args(argv)
+            with redirect_stdout(out):  # so that --help prints to out
+                args = parser.parse_args(argv)
         except SystemExit as exc:  # --help prints and exits 0
             return int(exc.code or 0)
         args.handler(args, out)
@@ -168,10 +169,12 @@ def _cmd_classify(args, out) -> None:
     expression = parse_expr(args.expr)
     knot = pretzel_form_knot(expression)
     report = representativity_bounds(expression if knot is None else knot)
+    kind = ("closure" if knot is None
+            else "pretzel" if isinstance(expression, Pretzel) else "montesinos")
     if args.json:
-        out.write(_report_json(args.expr, expression, knot, report, "") + "\n")
+        out.write(_report_json(args.expr, kind, knot, report, "") + "\n")
     else:
-        for line in _report_text(expression, knot, report):
+        for line in _report_text(expression, kind, knot, report):
             print(line, file=out)
 
 
@@ -201,15 +204,15 @@ def _classify_range(spec: str, as_json: bool, out) -> None:
     if not as_json:
         for entries in _knot_triples(low, high):
             report = representativity_bounds(pretzel_knot(entries))
-            seen = _LINES.get(id(report))
+            seen = _TEMPLATES.get(id(report))
             if seen is None:
-                seen = _LINES[id(report)] = (report, _range_template(report))
-            out.write(seen[1] % entries)
+                seen = _TEMPLATES[id(report)] = (report, _range_template(report))
+            out.write(seen[-1] % entries)
         return
     lead = "[\n  "
     for entries in _knot_triples(low, high):
         knot = pretzel_knot(entries)
-        out.write(lead + _report_json("P(%d,%d,%d)" % entries, None, knot,
+        out.write(lead + _report_json("P(%d,%d,%d)" % entries, "pretzel", knot,
                                       representativity_bounds(knot), "  "))
         lead = ",\n  "
     out.write("[]\n" if lead == "[\n  " else "\n]\n")
@@ -229,8 +232,10 @@ def _knot_triples(low: int, high: int):
                     yield a, b, c
 
 
-# the text line template per report, by identity (each entry holds its report)
-_LINES: dict[int, tuple[RepReport, str]] = {}
+# every classify template: a range text line's by its report's identity, a
+# JSON report's by the identities of its report and scan shapes with its
+# kind, mirror flag and indent; each entry holds the objects its key names
+_TEMPLATES: dict[int | tuple, tuple] = {}
 
 
 def _range_template(report: RepReport) -> str:
@@ -248,12 +253,10 @@ def _range_template(report: RepReport) -> str:
     return line + "\n"
 
 
-def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
+def _report_text(expression: TangleExpr, kind: str, knot: PretzelKnot | None,
                  report: RepReport) -> list[str]:
-    lines = [f"input: {print_expr(expression)}"]
+    lines = [f"input: {print_expr(expression)}", f"kind: {kind}"]
     if knot is not None:
-        kind = "pretzel" if isinstance(expression, Pretzel) else "montesinos"
-        lines.append(f"kind: {kind}")
         lines.append("normalized: P(%d,%d,%d)" % knot.canonical)
         lines.append(f"mirror: {'yes' if knot.mirror else 'no'}")
         lines.append("knot: yes")
@@ -265,8 +268,7 @@ def _report_text(expression: TangleExpr, knot: PretzelKnot | None,
             else:
                 lines.append("torus: yes (parameters not tracked)")
     else:
-        lines.append("kind: closure")
-        lines.append(f"large algebraic: {'yes' if is_large_algebraic(expression) else 'no'}")
+        lines.append(f"large algebraic: {'yes' if report.large_algebraic else 'no'}")
     if report.exact is not None:
         lines.append(f"bounds: lower={report.lower} upper={report.upper} exact={report.exact}")
     else:
@@ -336,9 +338,8 @@ def _rows(knot: PretzelKnot) -> list[dict]:
     return [_row(shape, ints) for shape in shapes]
 
 
-@cache
 def _report_template(report: RepReport, kind: str, mirror: bool | None,
-                     large_algebraic: bool | None, shapes: tuple | None, pad: str) -> str:
+                     shapes: tuple | None, pad: str) -> str:
     """A classify report with a %s field for the input and, for a knot
     (mirror not None), a %d field for each canonical entry, then those
     of the scan rows with the given shapes; shapes is None when the
@@ -348,7 +349,7 @@ def _report_template(report: RepReport, kind: str, mirror: bool | None,
     return _template({
         "input": "%s", "kind": kind, "normalized": ["%d"] * 3 if knot else None,
         "mirror": mirror, "is_knot": True if knot else None,
-        "large_algebraic": large_algebraic, "bridge_upper": report.bridge_upper,
+        "large_algebraic": report.large_algebraic, "bridge_upper": report.bridge_upper,
         "torus": None if torus is None else {
             "params": None if torus.params is None else list(torus.params)},
         "lower": report.lower, "upper": report.upper, "exact": report.exact,
@@ -374,30 +375,26 @@ _TRACE_HEAD, _TRACE_TAIL = _template({"twists": ["%d"] * 3, "crossings": "%d",
                                       "components": "%d", "pd": ["%s"]}, "").split("%s")
 _CROSSING = _template(["%d"] * 4, "    ")
 
-# the template of each knot report, by the identity of its report and its
-# scan shapes (None for a unit twist), which are shared and held here
-_SHARED_REPORTS: dict[tuple, tuple[RepReport, tuple | None, str]] = {}
 
-
-def _report_json(input_text: str, expression: TangleExpr | None,
-                 knot: PretzelKnot | None, report: RepReport, pad: str) -> str:
-    """One classify report as JSON, its opening brace at indent pad; a
-    range report passes no expression.  A knot fills the template of its
-    report and scan shapes with its canonical triple and scan values."""
-    if knot is None:
-        return _report_template(report, "closure", None, is_large_algebraic(expression),
-                                None, pad) % _quote(input_text)
-    kind = "montesinos" if isinstance(expression, Montesinos) else "pretzel"
-    try:
-        shapes, values = scan_fields(knot)
-    except DegenerateTangleError:  # a unit twist has no scan rows
-        shapes, values = None, ()
-    key = (id(report), id(shapes), kind, knot.mirror, pad)
-    seen = _SHARED_REPORTS.get(key)
+def _report_json(input_text: str, kind: str, knot: PretzelKnot | None,
+                 report: RepReport, pad: str) -> str:
+    """One classify report as JSON, its opening brace at indent pad: the
+    template of its report, kind, mirror flag and scan shapes (none for
+    a closure or a unit twist), filled with the input and, for a knot,
+    its canonical triple and scan values."""
+    shapes, values, canonical, mirror = None, (), (), None
+    if knot is not None:
+        canonical, mirror = knot.canonical, knot.mirror
+        try:
+            shapes, values = scan_fields(knot)
+        except DegenerateTangleError:  # a unit twist has no scan rows
+            pass
+    key = (id(report), id(shapes), kind, mirror, pad)
+    seen = _TEMPLATES.get(key)
     if seen is None:
-        seen = _SHARED_REPORTS[key] = (report, shapes, _report_template(
-            report, kind, knot.mirror, None, shapes, pad))
-    return seen[2] % (_quote(input_text), *knot.canonical, *values)
+        seen = _TEMPLATES[key] = (report, shapes, _report_template(
+            report, kind, mirror, shapes, pad))
+    return seen[-1] % (_quote(input_text), *canonical, *values)
 
 
 # --- surfaces ---

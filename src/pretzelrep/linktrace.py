@@ -34,7 +34,7 @@ __all__ = ["MAX_CROSSINGS", "PretzelKnot", "diagram_twists", "pretzel_diagram",
 
 Crossing = tuple[int, int, int, int]
 
-# trace at this size: about 3-4 s and 139 MB, as text or JSON
+# trace at this size: about 4-5 s and 113 MB, as text or JSON
 MAX_CROSSINGS = 2_000_000
 
 
@@ -111,9 +111,9 @@ def trace_components(build: Callable[[], Iterable[Crossing]], size: int) -> int:
     every crossing; the components are the classes of arcs under that
     gluing.  An invalid code is built once more to name its first fault.
     """
-    # parent[x] is 0 while arc x is a root (no label is 0), so neither
-    # list starts out with an int object per label
-    uses = [0] * (size + 1)
+    # one byte per use count (a count past 255 raises ValueError); parent[x]
+    # is 0 while arc x is a root (no label is 0): no int object per label
+    uses = bytearray(size + 1)
     parent = [0] * (size + 1)
     merges = 0
     crossings = iter(build())

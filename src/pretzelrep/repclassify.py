@@ -100,6 +100,7 @@ class RepReport:
     rules: tuple[AppliedRule, ...]
     torus: TorusInfo | None
     bridge_upper: int | None
+    large_algebraic: bool | None = None  # decided for a closure, None for a pretzel knot
 
 
 # The canonical triples of representativity exactly 3, fixed by the
@@ -162,10 +163,11 @@ def tangle_string_bound(string_number: int) -> int:
 
 # the report of each kind of closure, both conditional on the visible sphere
 _LARGE_ALGEBRAIC = RepReport(1, 3, None, (AppliedRule(
-    "large-algebraic-bound", _CITE_LARGE_ALGEBRAIC, "upper", 3, conditional=True),), None, None)
+    "large-algebraic-bound", _CITE_LARGE_ALGEBRAIC, "upper", 3, conditional=True),),
+    None, None, True)
 _STRING_BOUND = RepReport(1, 4, None, (AppliedRule(
     "tangle-string-bound", _CITE_TANGLE_STRING, "upper", tangle_string_bound(2),
-    conditional=True),), None, None)
+    conditional=True),), None, None, False)
 
 
 def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:

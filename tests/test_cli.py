@@ -149,6 +149,15 @@ def test_exit_code_for_usage_errors():
     assert run_cli(["surfaces", "P(1,2,3)", "--json", "--csv"])[0] == 1
 
 
+@pytest.mark.parametrize("command", [[], ["classify"], ["surfaces"], ["lemma"], ["trace"],
+                                     ["parse"]], ids=lambda c: c[0] if c else "top")
+def test_help_goes_to_the_given_stream(capsys, command):
+    code, out, err = run_cli([*command, "--help"])
+    assert code == 0 and err == ""
+    assert out.startswith("usage: pretzelrep" + "".join(" " + c for c in command))
+    assert capsys.readouterr().out == ""
+
+
 def test_exit_code_for_domain_errors():
     assert run_cli(["surfaces", "P(1,3,3)"])[0] == 2
     assert run_cli(["surfaces", "P(2,4,6)"])[0] == 2

@@ -49,3 +49,48 @@ def test_mutated_input_keeps_the_exit_code_contract():
         assert "Traceback" not in err.getvalue(), argv
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+# the five subcommands and one that does not exist
+SUBCOMMANDS = ("classify", "surfaces", "lemma", "trace", "parse", "census")
+RANGES = ("-3:3", "2:2", "3:1", "1:", ":3", "a:b", "1..3", "-3:3:3", "٣:5", "",
+          "-200:200", "1:" + "9" * 5000, "--json")
+# huge, negative, non-ASCII and malformed numbers; the valid ones stay small
+MAXES = ("15", "2", "1", "0", "-5", "-0", "9" * 5000, "1000000", "٣", "１５",
+         "1e3", " 7 ", "", "0x10", "--json")
+FLAGS = ("--json", "--csv", "--help", "-h", "--bogus", "-x", "--json=1", "--")
+
+
+def _argv(rng: Random) -> list[str]:
+    groups = []
+    if rng.random() < 0.95:
+        groups.append([rng.choice(SUBCOMMANDS)])
+    if rng.random() < 0.7:
+        groups.append([_spelling(rng) if rng.random() < 0.7 else _mutate(_spelling(rng), rng)])
+    for _ in range(rng.randint(0, 3)):
+        pick = rng.random()
+        if pick < 0.25:
+            groups.append(["--range", rng.choice(RANGES)])
+        elif pick < 0.5:
+            groups.append(["--max", rng.choice(MAXES)])
+        elif pick < 0.55:
+            groups.append([rng.choice(("--range", "--max"))])  # a flag missing its value
+        else:
+            groups.append([rng.choice(FLAGS)])
+    if rng.random() < 0.3:  # the subcommand need not come first
+        rng.shuffle(groups)
+    return [word for group in groups for word in group]
+
+
+def test_mutated_argv_keeps_the_exit_code_contract(capsys):
+    rng = Random(20091)
+    codes = set()
+    for _ in range(2000):
+        argv = _argv(rng)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(argv, out, err)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
+        assert capsys.readouterr().out == "", argv
+        codes.add(code)
+    assert codes == {0, 1, 2}

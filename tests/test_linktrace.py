@@ -208,6 +208,9 @@ MALFORMED = [
      "arc 1 appears 3 times, expected exactly 2"),
     ("missing label", ((1, 1, 2, 2), (3, 3, 2, 2)), "arc 2 appears 4 times, expected exactly 2"),
     ("label used 400 times", ((1, 1, 1, 1),) * 100, "arc 1 appears 400 times, expected exactly 2"),
+    # the 256th use of a label is the first count that a byte cannot hold
+    ("label used 256 times", ((1, 1, 1, 1),) * 64 + ((2, 2, 3, 3),) * 64,
+     "arc 1 appears 256 times, expected exactly 2"),
     ("three slots", ((1, 1, 2), (2, 3, 3, 4, 4)), "crossing 0 has 3 slots, expected 4"),
     ("empty last crossing", ((1, 2, 2, 1), ()), "crossing 1 has 0 slots, expected 4"),
     ("empty first crossing", ((), (1, 2, 2, 1)), "crossing 0 has 0 slots, expected 4"),

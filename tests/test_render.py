@@ -178,7 +178,7 @@ def test_rejected_only_report_matches_json_dumps(canonical):
                 obj = report_obj(text, kind, tuple(entries), report)
                 for pad in ("", "  "):
                     expected = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-                    assert _report_json(text, expression, knot, report, pad) == expected
+                    assert _report_json(text, kind, knot, report, pad) == expected
 
 
 @pytest.mark.parametrize("pad", ["", "  "], ids=["pad0", "pad2"])
@@ -213,10 +213,9 @@ JSON_COMMANDS = [
 
 
 def test_templates_are_made_once_per_shape(monkeypatch):
-    monkeypatch.setattr(cli, "_SHARED_REPORTS", {})
-    _report_template.cache_clear()
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
     run_cli(["classify", "--range", "-25:25", "--json"], Chunks())
-    assert _report_template.cache_info().currsize <= 64
+    assert len(cli._TEMPLATES) <= 64
     first = [run_cli(args) for args in JSON_COMMANDS]
     calls = []
     encode = json.dumps
@@ -231,9 +230,11 @@ def test_templates_are_made_once_per_shape(monkeypatch):
 
 
 def test_second_range_json_pass_asks_for_no_report_template(monkeypatch):
-    # -5:5 holds structural rows and unit twists: once one pass has kept
-    # the template of every knot report, the next one asks for none
-    first = run_cli(["classify", "--range", "-5:5", "--json"])
+    # -5:5 holds structural rows and unit twists, and a closure has no scan:
+    # once one pass has kept the template of every report, the next asks for none
+    commands = [["classify", "--range", "-5:5", "--json"],
+                ["classify", "C((1/3+1/5)+(1/2+1/7))", "--json"]]
+    first = [run_cli(args) for args in commands]
     calls = []
 
     def counted(*args):
@@ -241,8 +242,25 @@ def test_second_range_json_pass_asks_for_no_report_template(monkeypatch):
         return _report_template(*args)
 
     monkeypatch.setattr(cli, "_report_template", counted)
-    assert run_cli(["classify", "--range", "-5:5", "--json"]) == first
+    assert [run_cli(args) for args in commands] == first
     assert calls == []
+
+
+def test_each_template_is_built_once_and_held_once(monkeypatch):
+    # the two closure kinds, each classified twice, add one template each
+    monkeypatch.setattr(cli, "_TEMPLATES", {})
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _report_template(*args)
+
+    monkeypatch.setattr(cli, "_report_template", counted)
+    run_cli(["classify", "--range", "-12:12", "--json"], Chunks())
+    knots = len(cli._TEMPLATES)
+    for text in ["C((1/3+1/5)+(1/2+1/7))", "C(1/3+(1/2+1/5))"] * 2:
+        run_cli(["classify", text, "--json"])
+    assert len(calls) == len(cli._TEMPLATES) == knots + 2
 
 
 def test_empty_range_prints_empty_array():

@@ -1,9 +1,12 @@
 from itertools import combinations_with_replacement, permutations
+from random import Random
 
 import pytest
 
+from conftest import random_tangle
 from pretzelrep import (
     AppliedRule,
+    Closure,
     DegenerateTangleError,
     InvalidParameterError,
     NotAKnotError,
@@ -11,7 +14,9 @@ from pretzelrep import (
     RepReport,
     TorusInfo,
     UnsupportedInputError,
+    Sum,
     canonical_entries,
+    is_large_algebraic,
     parse_expr,
     pretzel_knot,
     representativity_bounds,
@@ -104,6 +109,24 @@ def test_plain_closure_gets_string_bound():
     (rule,) = report.rules
     assert rule.name == "tangle-string-bound"
     assert rule.conditional is True
+
+
+def test_report_carries_the_large_algebraic_decision():
+    # the closure goldens' inputs, then seeded random closures of a sum
+    rng = Random(2009)
+    closures = [parse_expr("C((1/3+1/5)+(1/2+1/7))"), parse_expr("C(1/3+(1/2+1/5))")]
+    closures += [Closure(Sum(random_tangle(rng, 1), random_tangle(rng, 1))) for _ in range(300)]
+    decided = {representativity_bounds(e).large_algebraic for e in closures}
+    for expression in closures:
+        assert (representativity_bounds(expression).large_algebraic
+                == is_large_algebraic(expression)), expression
+    assert decided == {True, False}
+    for text in ["P(-2,3,5)", "P(1,1,1)", "P(2,-3,-3)", "P(3,5,7)", "M(1/3,1/5,1/7)"]:
+        assert _bounds(text).large_algebraic is None, text
+    values = [v for v in range(-9, 10) if v != 0]
+    for entries in combinations_with_replacement(values, 3):
+        if knot_components(entries) == 1:
+            assert representativity_bounds(pretzel_knot(entries)).large_algebraic is None
 
 
 def test_unsupported_inputs():
