@@ -24,7 +24,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import IO
 
 from .errors import (
-    DegenerateTangleError,
     DomainError,
     InvariantError,
     ParseError,
@@ -277,11 +276,11 @@ def _report_text(expression: TangleExpr, kind: str, knot: PretzelKnot | None,
     for rule in report.rules:
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
     if knot is not None:
-        try:
-            structural = [row for row in _rows(knot) if row["structural"]]
-        except DegenerateTangleError:
+        rows = _rows(knot)
+        if rows is None:
             lines.append("surfaces: not computed (degenerate twist parameters)")
             return lines
+        structural = [row for row in rows if row["structural"]]
         lines.append("surfaces:" if structural else "surfaces: none")
         lines.extend(f"  {_row_text(row)}" for row in structural)
     return lines
@@ -331,11 +330,12 @@ def _row(shape: tuple, ints) -> dict:
             "family": verdict.family, "reason": verdict.reason}
 
 
-def _rows(knot: PretzelKnot) -> list[dict]:
-    """The eight scan rows of the knot as _row dicts, in scan order."""
+def _rows(knot: PretzelKnot) -> list[dict] | None:
+    """The eight scan rows of the knot as _row dicts, in scan order, or
+    None for a knot with a unit twist, which has no scan."""
     shapes, values = scan_fields(knot)
     ints = iter(values)
-    return [_row(shape, ints) for shape in shapes]
+    return None if shapes is None else [_row(shape, ints) for shape in shapes]
 
 
 def _report_template(report: RepReport, kind: str, mirror: bool | None,
@@ -385,10 +385,7 @@ def _report_json(input_text: str, kind: str, knot: PretzelKnot | None,
     shapes, values, canonical, mirror = None, (), (), None
     if knot is not None:
         canonical, mirror = knot.canonical, knot.mirror
-        try:
-            shapes, values = scan_fields(knot)
-        except DegenerateTangleError:  # a unit twist has no scan rows
-            pass
+        shapes, values = scan_fields(knot)
     key = (id(report), id(shapes), kind, mirror, pad)
     seen = _TEMPLATES.get(key)
     if seen is None:

@@ -113,13 +113,9 @@ def scannable_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
     error: a zero twist, then a unit twist, then a link."""
     entries = triple.entries if isinstance(triple, PretzelKnot) else tuple(triple)
     if 0 not in entries and (1 in entries or -1 in entries):
-        raise _unit_twist(entries)
+        raise DegenerateTangleError(
+            f"twist parameters must have absolute value >= 2, got {entries}")
     return pretzel_knot(triple)
-
-
-def _unit_twist(entries: tuple[int, int, int]) -> DegenerateTangleError:
-    """The error for a triple the scan rejects for a twist of absolute value 1."""
-    return DegenerateTangleError(f"twist parameters must have absolute value >= 2, got {entries}")
 
 
 def _scan_row(types, slopes, knot: PretzelKnot) -> SurfacePattern:
@@ -169,20 +165,20 @@ def enumerate_patterns(triple: tuple[int, int, int] | PretzelKnot) -> list[Surfa
     return [row for row in scan_assignments(triple) if row.structural]
 
 
-def scan_fields(knot: PretzelKnot) -> tuple[tuple, tuple[int, ...]]:
+def scan_fields(knot: PretzelKnot) -> tuple[tuple | None, tuple[int, ...]]:
     """The eight rows of scan_assignments(knot) as (shapes, values): the
     (types, verdict, structural) of each row, a tuple shared by every
     knot that has it, and the flat ints of the rows, each row's slopes
     followed, in a structural row, by its arcs, sheets, chi and genus.
+    A knot with a twist of absolute value 1 has no scan: (None, ()).
 
-    As every |m| >= 2, m + 1 has the sign of m: a triple without exactly
-    one negative entry fails the sign pattern in every row; with one,
-    every row meets the reciprocal sum next.  Only a triple for which
-    some reciprocal sum is zero is scanned.
+    Otherwise |m| >= 2, so m + 1 has the sign of m: without exactly one
+    negative entry every row fails the sign pattern; with one, every row
+    meets the reciprocal sum, and only a zero sum gets a full scan.
     """
     p, q, r = canonical = knot.canonical
     if 1 in canonical or -1 in canonical:
-        raise _unit_twist(knot.entries)
+        return None, ()
     if (p < 0) + (q < 0) + (r < 0) != 1:
         return _ALL_SIGN_PATTERN, _SLOPES((p, q, r, p + 1, q + 1, r + 1))
     # x(y + z) + yz, the sum cleared of fractions, for x in (p, p + 1), ...

@@ -24,8 +24,8 @@ import jsonschema
 import pytest
 
 import pretzelrep
-from pretzelrep import (MAX_DIGITS, InvalidPDCodeError, component_count, max_digits,
-                        pretzel_diagram, run)
+from pretzelrep import (MAX_DIGITS, DegenerateTangleError, InvalidPDCodeError,
+                        component_count, max_digits, pretzel_diagram, run)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -164,6 +164,25 @@ def test_exit_code_for_domain_errors():
     assert run_cli(["trace", "M(1/2)"])[0] == 2
     assert run_cli(["trace", "P(0,1,2)"])[0] == 2
     assert run_cli(["classify", "1/2"])[0] == 2
+
+
+@pytest.mark.parametrize("args", [["classify", "--range", "-25:25", "--json"],
+                                  ["classify", "P(1,3,5)"], ["classify", "P(1,3,5)", "--json"]],
+                         ids=" ".join)
+def test_unit_twist_reports_make_no_domain_error(monkeypatch, args):
+    """A unit twist's report has no scan, and that is an answer: classify
+    prints it without making a DegenerateTangleError on the way."""
+    expected = run_cli(args)
+    made = []
+    init = DegenerateTangleError.__init__
+
+    def counting_init(self, *message):
+        made.append(message)
+        init(self, *message)
+
+    monkeypatch.setattr(DegenerateTangleError, "__init__", counting_init)
+    assert run_cli(args) == expected
+    assert len(made) == 0
 
 
 def test_trace_reports_components():

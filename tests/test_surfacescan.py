@@ -285,16 +285,15 @@ def test_existence_verdicts_by_sign_class(entries, canonical, structural):
 
 
 def test_existence_verdicts_reject_unit_twists():
-    with pytest.raises(DegenerateTangleError):
-        scan_fields(pretzel_knot((-1, 3, 5)))
-    with pytest.raises(DegenerateTangleError):
-        scan_fields(pretzel_knot((1, 1, 1)))
-    # one unit twist, one message, whichever check meets it
-    with pytest.raises(DegenerateTangleError) as scanned:
-        scan_fields(pretzel_knot((1, 3, 5)))
-    with pytest.raises(DegenerateTangleError) as validated:
-        scannable_knot((1, 3, 5))
-    assert str(scanned.value) == str(validated.value)
+    # a knot with a unit twist has no scan: an answer, not an error
+    for entries in ((-1, 3, 5), (1, 1, 1), (1, 3, 5)):
+        assert scan_fields(pretzel_knot(entries)) == (None, ()), entries
+    # the validating entry points refuse it, with one message
+    message = "twist parameters must have absolute value >= 2, got (1, 3, 5)"
+    for check in (scannable_knot, scan_assignments):
+        with pytest.raises(DegenerateTangleError) as refused:
+            check((1, 3, 5))
+        assert str(refused.value) == message, check
 
 
 def test_existence_verdicts_match_the_scan():
@@ -320,6 +319,41 @@ def test_existence_verdicts_match_the_scan():
                 structural += 1
     assert checked == 9800
     assert structural == 32
+
+
+def elimination_table(bound):
+    """(knots, unit twists, distinct shapes, rows per verdict) from
+    scan_fields over every knot triple with entries in [-bound, bound];
+    the rows are counted once per distinct shapes tuple, by verdict."""
+    values = [v for v in range(-bound, bound + 1) if v]
+    knots = [entries for entries in combinations_with_replacement(values, 3)
+             if knot_components(entries) == 1]
+    by_shapes = Counter(scan_fields(pretzel_knot(entries))[0] for entries in knots)
+    unit_twists = by_shapes.pop(None)
+    verdicts = Counter()
+    for shapes, count in by_shapes.items():
+        for _, verdict, _ in shapes:
+            verdicts[verdict] += count
+    return len(knots), unit_twists, len(by_shapes), verdicts
+
+
+def test_elimination_table_from_the_scan():
+    knots, unit_twists, distinct, verdicts = elimination_table(25)
+    assert (knots, unit_twists, distinct) == (11700, 1900, 18)
+    assert verdicts == {
+        SIGN_PATTERN: 39104,
+        RECIPROCAL_SUM: 39162,
+        Verdict(False, "single-disk region must meet the surface in one sheet"): 84,
+        Verdict(False, "parallel-disk region needs at least two sheets"): 10,
+        Verdict(False, "common denominator exceeds the largest boundary slope"): 8,
+        Verdict(False, "d=2 required; compressing disk exists", "Type (1)"): 22,
+        Verdict(True, None, "Type (1)"): 2,
+        Verdict(False, "d=1 required; compressing disk exists", "Type (2)"): 2,
+        Verdict(False, "k=2 required; compressing disk exists", "Type (2)"): 4,
+        Verdict(True, None, "Type (2)"): 2,
+    }
+    # every scanned knot has eight rows
+    assert sum(verdicts.values()) == 8 * (knots - unit_twists) == 78400
 
 
 def _knot_scans(bound):
