@@ -118,14 +118,15 @@ _AT_MOST_TWO = RepReport(1, 2, None, (_BRIDGE_RULE, AppliedRule(
 _TORUS_RULE = AppliedRule("torus-knot-identification", _CITE_TORUS)
 
 
-def _rule_set(entries: tuple[int, int, int], canonical: tuple[int, int, int]) -> RepReport:
-    if 1 in entries or -1 in entries:
+def _rule_set(canonical: tuple[int, int, int]) -> RepReport:
+    # a unit twist is in the canonical triple exactly when it is in the entries
+    if 1 in canonical or -1 in canonical:
         return _SMALL_TWIST
     return _EQUALS_THREE if canonical in _EXACTLY_THREE else _AT_MOST_TWO
 
 
 def _torus_report(canonical: tuple[int, int, int], torus: TorusInfo) -> RepReport:
-    base = _rule_set(canonical, canonical)
+    base = _rule_set(canonical)
     return replace(base, rules=base.rules + (_TORUS_RULE,), torus=torus)
 
 
@@ -179,17 +180,21 @@ def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
     the two halves are syntactically large algebraic; both closure
     bounds are conditional on the visible sphere being essential.
     """
-    if isinstance(expression, PretzelKnot):
-        return _classify_pretzel(expression)
     if isinstance(expression, Closure):
-        return _classify_closure(expression)
-    knot = pretzel_form_knot(expression)
+        if not isinstance(expression.inner, Sum):
+            raise UnsupportedInputError(
+                "closure of a single tangle carries no decomposing sphere; "
+                "expected C(T1+T2)"
+            )
+        return _LARGE_ALGEBRAIC if is_large_algebraic(expression) else _STRING_BOUND
+    knot = expression if isinstance(expression, PretzelKnot) else pretzel_form_knot(expression)
     if knot is None:
         raise UnsupportedInputError(
             "no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "
             "or a top-level closure C(T1+T2)"
         )
-    return _classify_pretzel(knot)
+    report = _TORUS_REPORTS.get((knot.canonical, knot.mirror))
+    return _rule_set(knot.canonical) if report is None else report
 
 
 def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
@@ -207,17 +212,3 @@ def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
             "slopes classify as pretzels"
         )
     return pretzel_knot(tuple(f.denominator * f.numerator for f in slopes))
-
-
-def _classify_pretzel(knot: PretzelKnot) -> RepReport:
-    report = _TORUS_REPORTS.get((knot.canonical, knot.mirror))
-    return _rule_set(knot.entries, knot.canonical) if report is None else report
-
-
-def _classify_closure(expression: Closure) -> RepReport:
-    if not isinstance(expression.inner, Sum):
-        raise UnsupportedInputError(
-            "closure of a single tangle carries no decomposing sphere; "
-            "expected C(T1+T2)"
-        )
-    return _LARGE_ALGEBRAIC if is_large_algebraic(expression) else _STRING_BOUND

@@ -118,29 +118,24 @@ def scannable_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
     return pretzel_knot(triple)
 
 
-def _scan_row(types, slopes, knot: PretzelKnot) -> SurfacePattern:
-    """The row of one type assignment: no measures and the verdict of the
-    first existence filter its slopes fail, or its measures and the
-    verdict of final_filter."""
+def _scan_row(types, slopes, knot: PretzelKnot) -> tuple[Verdict, tuple[int, ...]]:
+    """The (verdict, measures) of one type assignment: the first failed
+    existence filter's verdict and (), or final_filter's verdict and the
+    six ints (arcs, three sheets, chi, genus)."""
     x, y, z = slopes
-    measures = (None,) * 5
     if (x < 0) + (y < 0) + (z < 0) != 1:
-        verdict = _SIGN_PATTERN
-    elif y * z + x * z + x * y != 0:  # 1/x + 1/y + 1/z = 0 cleared of fractions
-        verdict = _RECIPROCAL_SUM
-    elif (n := lcm(*(abs(s) for s in slopes))) != max(abs(s) for s in slopes):
-        verdict = _DENOMINATOR
-    else:
-        sheets = tuple(n // abs(s) for s in slopes)
-        # the first region whose type forbids its sheet count, if any
-        verdict = next((_SINGLE_DISK if ty == TYPE_B else _PARALLEL_DISKS
-                        for ty, sheet in zip(types, sheets)
-                        if (sheet != 1 if ty == TYPE_B else sheet < 2)), None)
-        if verdict is None:
-            chi = sum(sheets) - n
-            measures = (n, sheets, 2 * n, chi, _genus_from_chi(chi))
-            verdict = final_filter(types, slopes, knot)
-    return SurfacePattern(types, slopes, *measures, verdict)
+        return _SIGN_PATTERN, ()
+    if y * z + x * z + x * y != 0:  # 1/x + 1/y + 1/z = 0 cleared of fractions
+        return _RECIPROCAL_SUM, ()
+    if (n := lcm(*(abs(s) for s in slopes))) != max(abs(s) for s in slopes):
+        return _DENOMINATOR, ()
+    sheets = tuple(n // abs(s) for s in slopes)
+    # the first region whose type forbids its sheet count, if any
+    for ty, sheet in zip(types, sheets):
+        if sheet != 1 if ty == TYPE_B else sheet < 2:
+            return (_SINGLE_DISK if ty == TYPE_B else _PARALLEL_DISKS), ()
+    chi = sum(sheets) - n
+    return final_filter(types, slopes, knot), (n, *sheets, chi, _genus_from_chi(chi))
 
 
 def scan_assignments(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
@@ -150,9 +145,14 @@ def scan_assignments(triple: tuple[int, int, int] | PretzelKnot) -> list[Surface
     data refer to the canonical (sorted, possibly mirrored) triple.
     """
     knot = scannable_knot(triple)
-    return [_scan_row(types, tuple(m if ty == TYPE_A else m + 1
-                                   for ty, m in zip(types, knot.canonical)), knot)
-            for types in TYPINGS]
+    rows = []
+    for types in TYPINGS:
+        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, knot.canonical))
+        verdict, measures = _scan_row(types, slopes, knot)
+        n, p, q, r, chi, genus_val = measures or (None,) * 6
+        sheets, longitudes = ((p, q, r), 2 * n) if measures else (None, None)
+        rows.append(SurfacePattern(types, slopes, n, sheets, longitudes, chi, genus_val, verdict))
+    return rows
 
 
 def enumerate_patterns(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
@@ -174,7 +174,8 @@ def scan_fields(knot: PretzelKnot) -> tuple[tuple | None, tuple[int, ...]]:
 
     Otherwise |m| >= 2, so m + 1 has the sign of m: without exactly one
     negative entry every row fails the sign pattern; with one, every row
-    meets the reciprocal sum, and only a zero sum gets a full scan.
+    meets the reciprocal sum, and only a zero sum gets a full scan, which
+    takes each row from _scan_row and builds no SurfacePattern.
     """
     p, q, r = canonical = knot.canonical
     if 1 in canonical or -1 in canonical:
@@ -187,13 +188,13 @@ def scan_fields(knot: PretzelKnot) -> tuple[tuple | None, tuple[int, ...]]:
             break
     else:
         return _ALL_RECIPROCAL_SUM, _SLOPES((p, q, r, p + 1, q + 1, r + 1))
-    rows = scan_assignments(knot)
-    values = []
-    for row in rows:
-        values += row.boundary_slopes
-        if row.structural:
-            values += (row.arcs, *row.sheets, row.chi, row.genus_val)
-    shapes = tuple((row.tangle_types, row.verdict, row.structural) for row in rows)
+    shapes, values = [], []
+    for types in TYPINGS:
+        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, canonical))
+        verdict, measures = _scan_row(types, slopes, knot)
+        shapes.append((types, verdict, bool(measures)))
+        values += slopes + measures
+    shapes = tuple(shapes)
     return _SHAPES.setdefault(shapes, shapes), tuple(values)
 
 

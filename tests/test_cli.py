@@ -8,8 +8,15 @@ and review the diff before committing.  Check the installed console
 script against every golden with
 
     python3 tests/test_cli.py --check-installed
+
+and check that classify and surfaces, run in process in every output
+form for each P(p,q,r) with |p|,|q|,|r| <= 7, and four larger commands
+still print exactly what they printed when DIGEST was pinned, with
+
+    python3 tests/test_cli.py --digest
 """
 
+import hashlib
 import io
 import json
 import os
@@ -18,6 +25,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import jsonschema
@@ -25,7 +33,8 @@ import pytest
 
 import pretzelrep
 from pretzelrep import (MAX_DIGITS, DegenerateTangleError, InvalidPDCodeError,
-                        component_count, max_digits, pretzel_diagram, run)
+                        SurfacePattern, component_count, max_digits, pretzel_diagram,
+                        run)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -182,6 +191,28 @@ def test_unit_twist_reports_make_no_domain_error(monkeypatch, args):
 
     monkeypatch.setattr(DegenerateTangleError, "__init__", counting_init)
     assert run_cli(args) == expected
+    assert len(made) == 0
+
+
+@pytest.mark.parametrize("args", [["classify", "--range", "-25:25", "--json"],
+                                  ["surfaces", "P(-2,3,5)", "--json"],
+                                  ["surfaces", "P(-2,3,5)", "--csv"],
+                                  ["classify", "P(-2,3,5)"], ["classify", "P(-2,3,5)", "--json"]],
+                         ids=" ".join)
+def test_commands_build_no_surface_pattern(monkeypatch, args):
+    """The command line takes every scan row from scan_fields, which
+    builds no SurfacePattern, even for a triple that gets a full scan."""
+    made = []
+    init = SurfacePattern.__init__
+
+    def counting_init(self, *fields):
+        made.append(fields)
+        init(self, *fields)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SurfacePattern, "__init__", counting_init)
+        patched = run_cli(args)
+    assert patched == run_cli(args)
     assert len(made) == 0
 
 
@@ -500,10 +531,37 @@ def _check_installed():
     print(f"all {len(CASES)} cases match their goldens through {script}")
 
 
+# the md5 of repr((argv, exit code, stdout, stderr)) over DIGEST_CALLS
+DIGEST = "bbbc5fa5d18e26e9a6d88b5c02aae5d0"
+DIGEST_CALLS = [
+    [command, f"P({p},{q},{r})", *flag]
+    for p, q, r in product(range(-7, 8), repeat=3)
+    for command, *flag in (["classify"], ["classify", "--json"], ["surfaces"],
+                           ["surfaces", "--json"], ["surfaces", "--csv"])
+] + [
+    ["classify", "--range", "-25:25", "--json"],
+    ["classify", "--range", "-30:30"],
+    ["classify", "C((1/3+1/5)+(1/2+1/7))"],
+    ["classify", "M(1/1,1/3,1/5)", "--json"],
+]
+
+
+def _digest():
+    md5 = hashlib.md5()
+    for args in DIGEST_CALLS:
+        md5.update(repr((args, *run_cli(args))).encode())
+    digest = md5.hexdigest()
+    print(f"{digest} over {len(DIGEST_CALLS)} commands")
+    if digest != DIGEST:
+        raise SystemExit(f"digest differs from the pinned {DIGEST}")
+
+
 if __name__ == "__main__":
     if "--freeze" in sys.argv:
         _freeze()
     elif "--check-installed" in sys.argv:
         _check_installed()
+    elif "--digest" in sys.argv:
+        _digest()
     else:
         print(__doc__)

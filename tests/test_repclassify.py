@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement, permutations
 from random import Random
 
@@ -129,12 +130,29 @@ def test_report_carries_the_large_algebraic_decision():
             assert representativity_bounds(pretzel_knot(entries)).large_algebraic is None
 
 
+_NO_RULE = ("no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "
+            "or a top-level closure C(T1+T2)")
+_NOT_PRETZEL = ("only Montesinos forms M(1/p,1/q,1/r) with three unit-numerator "
+                "slopes classify as pretzels")
+_NO_SPHERE = "closure of a single tangle carries no decomposing sphere; expected C(T1+T2)"
+
+
 def test_unsupported_inputs():
-    for text in ["1/2", "M(2/5,1/2,1/3)", "M(1/2,1/3)", "1/2+1/3"]:
-        with pytest.raises(UnsupportedInputError):
+    for text, message in [("1/2", _NO_RULE), ("M(2/5,1/2,1/3)", _NOT_PRETZEL),
+                          ("M(1/2,1/3)", _NOT_PRETZEL), ("1/2+1/3", _NO_RULE)]:
+        with pytest.raises(UnsupportedInputError, match=f"^{re.escape(message)}$"):
             _bounds(text)
-    with pytest.raises(UnsupportedInputError):
-        _bounds("C(1/2)")
+    for text in ["C(1/2)", "C(P(-2,3,5))"]:
+        with pytest.raises(UnsupportedInputError, match=f"^{re.escape(_NO_SPHERE)}$"):
+            _bounds(text)
+
+
+def test_knot_and_pretzel_form_share_one_report():
+    # a validated knot and its pretzel form reach the same report object:
+    # a torus triple, its mirror, a unit twist and an ordinary knot
+    for triple in [(-2, 3, 5), (2, -3, -5), (1, 3, 5), (-3, 5, 7)]:
+        assert representativity_bounds(pretzel_knot(triple)) is representativity_bounds(
+            Pretzel(triple)), triple
 
 
 def test_link_input_rejected():

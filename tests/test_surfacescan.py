@@ -187,6 +187,11 @@ def test_genus_rejects_odd_characteristic():
     odd = SurfacePattern(("B", "B", "B"), (-2, 2, 2), 2, (1, 1, 1), 4, 1, 0, verdict)
     with pytest.raises(InvariantError):
         genus(odd)
+    # consistent counts but chi = 6 - 2 = 4, even and above a sphere's 2
+    large = SurfacePattern(("B", "B", "B"), (-1, 1, 1), 2, (2, 2, 2), 4, 4, 0,
+                           Verdict(True, None, "Type (1)"))
+    with pytest.raises(InvariantError, match="^Euler characteristic 4 exceeds 2$"):
+        genus(large)
 
 
 def test_final_filter_rejects_mismatched_triple():
@@ -202,6 +207,10 @@ def test_final_filter_rejects_row_outside_the_consecutive_family():
     row = SurfacePattern(("A", "B", "A"), (-6, 10, 15), 30, (5, 3, 2), 60, -20, 11, verdict)
     with pytest.raises(InvariantError):
         final_filter(row.tangle_types, row.boundary_slopes, (-6, 9, 15))
+    # slopes that rebuild the triple but have no negative entry
+    with pytest.raises(InvariantError,
+                       match=r"^slopes \(3, 5, 7\) have no sign pattern \(-,\+,\+\)$"):
+        final_filter(("A", "A", "A"), (3, 5, 7), (3, 5, 7))
 
 
 _STRUCTURAL_REASONS = {

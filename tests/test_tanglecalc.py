@@ -181,6 +181,9 @@ def test_is_large_algebraic_examples():
     assert is_large_algebraic(parse_expr("C((2/3+1/5)+(1/2+1/7))")) is False
     # a pretzel leaf makes a half non-rational
     assert is_large_algebraic(parse_expr("C((P(1,2,3)+1/5)+(1/2+1/7))")) is False
+    # a closure of a single tangle has no two halves
+    assert is_large_algebraic(parse_expr("C(1/3)")) is False
+    assert is_large_algebraic(parse_expr("C(P(-2,3,5))")) is False
 
 
 def test_is_large_algebraic_needs_closure():
@@ -207,3 +210,9 @@ def test_nesting_limit_round_trips_at_the_limit():
         parse_expr(print_expr(Sum(left_deep, leaves[0])))
     with pytest.raises(ParseError):
         parse_expr("(" * (MAX_NESTING + 1) + "1/2" + ")" * (MAX_NESTING + 1))
+    # 150 parentheses around a sum of 51 terms nest 200 deep; a 52nd term
+    # is caught only once the outermost parenthesis has closed
+    assert isinstance(parse_expr("(" * 150 + "+".join(["1/2"] * 51) + ")" * 150), Sum)
+    with pytest.raises(ParseError) as info:
+        parse_expr("(" * 150 + "+".join(["1/2"] * 52) + ")" * 150)
+    assert info.value.position == 0
