@@ -110,6 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.add_argument("expr", help="tangle expression")
     p_parse.add_argument("--json", action="store_true")
     p_parse.set_defaults(handler=_cmd_parse)
+    # each subcommand's own parser by name, for run to call directly
+    parser.subcommand_parsers = sub.choices
     return parser
 
 
@@ -119,11 +121,17 @@ def run(argv: list[str] | None = None,
     """Execute one command line; returns the exit code without exiting."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
+    # a leading subcommand goes straight to its own parser, which the
+    # top-level parser would hand the rest of argv to; any other argv
+    # (none, a flag first, an unknown command) needs the top-level one
+    command = parser.subcommand_parsers.get(argv[0]) if argv else None
     try:
         try:
             with redirect_stdout(out):  # so that --help prints to out
-                args = parser.parse_args(argv)
+                args = (parser.parse_args(argv) if command is None
+                        else command.parse_args(argv[1:]))
         except SystemExit as exc:  # --help prints and exits 0
             return int(exc.code or 0)
         args.handler(args, out)
@@ -173,8 +181,7 @@ def _cmd_classify(args, out) -> None:
     if args.json:
         out.write(_report_json(args.expr, kind, knot, report, "") + "\n")
     else:
-        for line in _report_text(expression, kind, knot, report):
-            print(line, file=out)
+        out.write("\n".join(_report_text(expression, kind, knot, report)) + "\n")
 
 
 def _range_bounds(spec: str) -> tuple[int, int]:
@@ -276,13 +283,19 @@ def _report_text(expression: TangleExpr, kind: str, knot: PretzelKnot | None,
     for rule in report.rules:
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
     if knot is not None:
-        rows = _rows(knot)
-        if rows is None:
+        shapes, values = scan_fields(knot)
+        if shapes is None:
             lines.append("surfaces: not computed (degenerate twist parameters)")
-            return lines
-        structural = [row for row in rows if row["structural"]]
-        lines.append("surfaces:" if structural else "surfaces: none")
-        lines.extend(f"  {_row_text(row)}" for row in structural)
+        elif not any(structural for _, _, structural in shapes):
+            lines.append("surfaces: none")
+        else:
+            lines.append("surfaces:")
+            ints = iter(values)
+            for shape in shapes:
+                if shape[2]:
+                    lines.append(f"  {_row_text(_row(shape, ints))}")
+                else:  # skip the three slopes of a row that is not printed
+                    next(islice(ints, 3, 3), None)
     return lines
 
 
@@ -328,14 +341,6 @@ def _row(shape: tuple, ints) -> dict:
             "sheets": sheets, "chi": chi, "genus": genus,
             "structural": structural, "verdict": "accepted" if verdict.accepted else "rejected",
             "family": verdict.family, "reason": verdict.reason}
-
-
-def _rows(knot: PretzelKnot) -> list[dict] | None:
-    """The eight scan rows of the knot as _row dicts, in scan order, or
-    None for a knot with a unit twist, which has no scan."""
-    shapes, values = scan_fields(knot)
-    ints = iter(values)
-    return None if shapes is None else [_row(shape, ints) for shape in shapes]
 
 
 def _report_template(report: RepReport, kind: str, mirror: bool | None,
@@ -399,12 +404,13 @@ def _report_json(input_text: str, kind: str, knot: PretzelKnot | None,
 
 def _cmd_surfaces(args, out) -> None:
     knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
+    shapes, values = scan_fields(knot)
     if args.json:
-        shapes, values = scan_fields(knot)
         out.write(_surfaces_template(knot.mirror, shapes) % (
             _quote(args.expr), *knot.canonical, *values) + "\n")
         return
-    rows = _rows(knot)
+    ints = iter(values)
+    rows = [_row(shape, ints) for shape in shapes]
     if args.csv:
         table = csv_writer(out, lineterminator="\n")
         table.writerow(["types", "slope_1", "slope_2", "slope_3", "arcs",
@@ -412,10 +418,9 @@ def _cmd_surfaces(args, out) -> None:
                         "structural", "verdict", "family", "reason"])
         table.writerows(map(_row_csv, rows))
     else:
-        print(f"input: {args.expr}", file=out)
-        print("normalized: P(%d,%d,%d)" % knot.canonical, file=out)
-        for row in rows:
-            print(_row_text(row), file=out)
+        lines = [f"input: {args.expr}", "normalized: P(%d,%d,%d)" % knot.canonical,
+                 *map(_row_text, rows)]
+        out.write("\n".join(lines) + "\n")
 
 
 def _parse_pretzel_argument(text: str, command: str) -> tuple[int, int, int]:
@@ -494,11 +499,11 @@ def _cmd_trace(args, out) -> None:
 def _cmd_parse(args, out) -> None:
     expression = parse_expr(args.expr)
     if args.json:
-        print(json.dumps({"input": args.expr,
-                          "printed": print_expr(expression),
-                          "tree": _tree_json(expression)}, indent=2), file=out)
+        out.write(json.dumps({"input": args.expr,
+                              "printed": print_expr(expression),
+                              "tree": _tree_json(expression)}, indent=2) + "\n")
     else:
-        print(print_expr(expression), file=out)
+        out.write(print_expr(expression) + "\n")
 
 
 def _tree_json(expression: TangleExpr) -> dict:

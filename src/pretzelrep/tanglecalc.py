@@ -112,6 +112,7 @@ class _Parser:
         self.text = text
         self.pos = 0
         self.parens = 0  # open parentheses around the current position
+        self.max_digits = max_digits()  # the limit as set now, read once per parse
 
     # --- token helpers ---
 
@@ -137,7 +138,7 @@ class _Parser:
         if m is None:
             found = self.peek() or "end of input"
             raise ParseError(f"expected an integer, found {found!r}", self.pos)
-        if len(m.group().lstrip("+-")) > max_digits():
+        if len(m.group().lstrip("+-")) > self.max_digits:
             raise ParseError(f"integer literal of {len(m.group())} characters is too long",
                              self.pos)
         self.pos = m.end()

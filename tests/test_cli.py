@@ -16,6 +16,7 @@ still print exactly what they printed when DIGEST was pinned, with
     python3 tests/test_cli.py --digest
 """
 
+import argparse
 import hashlib
 import io
 import json
@@ -122,6 +123,46 @@ def test_items_are_written_in_chunks(monkeypatch, name, args):
     assert out.writes > 2  # at least two writes of items, then the tail
 
 
+# text reports that start with their subcommand, each with the number of
+# scan rows it prints
+TEXT_REPORTS = [
+    (["classify", "P(-3,5,7)"], 0),
+    (["classify", "P(-2,3,5)"], 1),
+    (["classify", "P(1,3,5)"], 0),
+    (["classify", "C(1/3+(1/2+1/5))"], 0),
+    (["surfaces", "P(-2,3,3)"], 8),
+    (["parse", "M( 1/2 , -1/3 , 1/7 )"], 0),
+    (["parse", "C((1/3+1/5)+(1/2+1/7))", "--json"], 0),
+]
+
+
+@pytest.mark.parametrize("args,printed_rows", TEXT_REPORTS,
+                         ids=[" ".join(args) for args, _ in TEXT_REPORTS])
+def test_a_text_report_costs_one_parse_one_write_and_only_printed_rows(
+        monkeypatch, args, printed_rows):
+    """A leading subcommand is parsed by its own parser alone, a scan row
+    is built only to be printed, and the report goes out in one write."""
+    expected = run_cli(args)
+    parses, rows = [], []
+    parse_known_args, row = argparse.ArgumentParser.parse_known_args, pretzelrep.cli._row
+
+    def counting_parse(self, *given, **options):
+        parses.append(self.prog)
+        return parse_known_args(self, *given, **options)
+
+    def counting_row(*given):
+        rows.append(given[0])
+        return row(*given)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setattr(pretzelrep.cli, "_row", counting_row)
+    out, err = _CountingStream(), io.StringIO()
+    assert (run(args, out, err), out.getvalue(), err.getvalue()) == expected
+    assert parses == [f"pretzelrep {args[0]}"]
+    assert len(rows) == printed_rows
+    assert out.writes == 1
+
+
 def test_lemma_row_format():
     code, out, _ = run_cli(["lemma", "--max", "15"])
     assert code == 0
@@ -165,6 +206,15 @@ def test_help_goes_to_the_given_stream(capsys, command):
     assert code == 0 and err == ""
     assert out.startswith("usage: pretzelrep" + "".join(" " + c for c in command))
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [["classify", "P(-2,3,5)"], ["--help"]], ids=" ".join)
+def test_no_argv_means_the_process_arguments(monkeypatch, argv):
+    expected = run_cli(argv)
+    monkeypatch.setattr(sys, "argv", ["pretzelrep", *argv])
+    out, err = io.StringIO(), io.StringIO()
+    assert (run(out=out, err=err), out.getvalue(), err.getvalue()) == expected
+    assert expected[0] == 0 and expected[1]
 
 
 def test_exit_code_for_domain_errors():

@@ -10,6 +10,7 @@ from random import Random
 
 from conftest import random_expr
 from pretzelrep import print_expr, run
+from pretzelrep.cli import build_parser
 
 COMMANDS = ("parse", "classify", "surfaces", "trace")
 
@@ -94,3 +95,29 @@ def test_mutated_argv_keeps_the_exit_code_contract(capsys):
         assert capsys.readouterr().out == "", argv
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+def test_subcommand_dispatch_matches_the_top_level_parser(monkeypatch):
+    """run hands the rest of an argv that starts with a subcommand straight
+    to that subcommand's parser.  With the lookup made to find nothing,
+    every argv goes through the top-level parser, the oracle: each
+    command must exit, print and err exactly as it does there."""
+    rng = Random(20092)
+    argvs = [_argv(rng) for _ in range(2000)]
+
+    def results():
+        outcomes = []
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            outcomes.append((run(argv, out, err), out.getvalue(), err.getvalue()))
+        return outcomes
+
+    parsers = build_parser().subcommand_parsers
+    leading = sum(bool(argv) and argv[0] in parsers for argv in argvs)
+    assert 0 < leading < len(argvs)  # both paths are taken
+    fast = results()
+    monkeypatch.setattr(build_parser(), "subcommand_parsers", {})
+    oracle = results()
+    for argv, got, expected in zip(argvs, fast, oracle):
+        assert got == expected, argv
+    assert {code for code, _, _ in fast} == {0, 1, 2}
