@@ -68,6 +68,7 @@ from .repclassify import (
     AppliedRule,
     RepReport,
     TorusInfo,
+    knot_report,
     pretzel_form_knot,
     representativity_bounds,
     tangle_string_bound,

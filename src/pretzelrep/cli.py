@@ -11,6 +11,7 @@ interrupt (Ctrl-C).  All output is deterministic for a given input.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -37,7 +38,7 @@ from .linktrace import (
     pretzel_knot,
     trace_components,
 )
-from .repclassify import RepReport, pretzel_form_knot, representativity_bounds
+from .repclassify import RepReport, knot_report, pretzel_form_knot, representativity_bounds
 from .surfacescan import scan_fields, scannable_knot
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
@@ -46,6 +47,7 @@ from .tanglecalc import (
     RationalTangle,
     Sum,
     TangleExpr,
+    canonical_entries,
     max_digits,
     parse_expr,
     print_expr,
@@ -57,7 +59,7 @@ _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
 # largest lemma --max: about 1.9-2.4 s and 131-133 MB, as text or JSON
 LEMMA_MAX = 200_000
-# widest classify --range box, e.g. -60:60: 0.8-1.0 s as text, 2.9-3.2 s as JSON
+# widest classify --range box, e.g. -60:60: 0.3-0.4 s as text, 2.9-3.2 s as JSON
 RANGE_MAX_WIDTH = 121
 
 
@@ -136,14 +138,11 @@ def run(argv: list[str] | None = None,
             return int(exc.code or 0)
         args.handler(args, out)
         return 0
-    except (_UsageError, ParseError) as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
+    except (_UsageError, ParseError, DomainError) as exc:
+        err.write(f"error: {exc}\n")
+        return 2 if isinstance(exc, DomainError) else 1
     except InvariantError as exc:
-        print(f"internal error: {exc}", file=err)
+        err.write(f"internal error: {exc}\n")
         return 3
 
 
@@ -158,7 +157,7 @@ def main() -> None:
         # which needs no message, or another error such as a full device;
         # point stdout at devnull so the flush at exit cannot raise again
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
+            sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
     sys.exit(code)
@@ -208,8 +207,9 @@ def _classify_range(spec: str, as_json: bool, out) -> None:
     """
     low, high = _range_bounds(spec)
     if not as_json:
+        # every generated triple is a knot, so its canonical form decides
         for entries in _knot_triples(low, high):
-            report = representativity_bounds(pretzel_knot(entries))
+            report = knot_report(*canonical_entries(entries))
             seen = _TEMPLATES.get(id(report))
             if seen is None:
                 seen = _TEMPLATES[id(report)] = (report, _range_template(report))
@@ -251,11 +251,8 @@ def _range_template(report: RepReport) -> str:
     else:
         line = f"P(%d,%d,%d)  r in [{report.lower},{report.upper}]"
     if report.torus is not None:
-        if report.torus.params is not None:
-            p, q = report.torus.params
-            line += f"  torus=({p},{q})"
-        else:
-            line += "  torus=yes"
+        params = report.torus.params
+        line += "  torus=yes" if params is None else "  torus=(%d,%d)" % params
     return line + "\n"
 
 
@@ -268,17 +265,13 @@ def _report_text(expression: TangleExpr, kind: str, knot: PretzelKnot | None,
         lines.append("knot: yes")
         lines.append(f"bridge bound: {report.bridge_upper}")
         if report.torus is not None:
-            if report.torus.params is not None:
-                p, q = report.torus.params
-                lines.append(f"torus: ({p},{q})")
-            else:
-                lines.append("torus: yes (parameters not tracked)")
+            params = report.torus.params
+            lines.append("torus: yes (parameters not tracked)" if params is None
+                         else "torus: (%d,%d)" % params)
     else:
         lines.append(f"large algebraic: {'yes' if report.large_algebraic else 'no'}")
-    if report.exact is not None:
-        lines.append(f"bounds: lower={report.lower} upper={report.upper} exact={report.exact}")
-    else:
-        lines.append(f"bounds: lower={report.lower} upper={report.upper}")
+    exact = "" if report.exact is None else f" exact={report.exact}"
+    lines.append(f"bounds: lower={report.lower} upper={report.upper}{exact}")
     lines.append("rules:")
     for rule in report.rules:
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
@@ -412,11 +405,13 @@ def _cmd_surfaces(args, out) -> None:
     ints = iter(values)
     rows = [_row(shape, ints) for shape in shapes]
     if args.csv:
-        table = csv_writer(out, lineterminator="\n")
+        buffer = io.StringIO()
+        table = csv_writer(buffer, lineterminator="\n")
         table.writerow(["types", "slope_1", "slope_2", "slope_3", "arcs",
                         "sheet_1", "sheet_2", "sheet_3", "chi", "genus",
                         "structural", "verdict", "family", "reason"])
         table.writerows(map(_row_csv, rows))
+        out.write(buffer.getvalue())
     else:
         lines = [f"input: {args.expr}", "normalized: P(%d,%d,%d)" % knot.canonical,
                  *map(_row_text, rows)]

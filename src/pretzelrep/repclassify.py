@@ -35,6 +35,7 @@ __all__ = [
     "torus_pretzel",
     "tangle_string_bound",
     "pretzel_form_knot",
+    "knot_report",
     "representativity_bounds",
 ]
 
@@ -171,6 +172,13 @@ _STRING_BOUND = RepReport(1, 4, None, (AppliedRule(
     conditional=True),), None, None, False)
 
 
+def knot_report(canonical: tuple[int, int, int], mirror: bool) -> RepReport:
+    """The report of a pretzel knot from what canonical_entries returns
+    for its triple, which the caller has checked to be a knot."""
+    report = _TORUS_REPORTS.get((canonical, mirror))
+    return _rule_set(canonical) if report is None else report
+
+
 def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
     """Classification report for a pretzel form or a closed tangle sum.
 
@@ -193,8 +201,7 @@ def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
             "no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "
             "or a top-level closure C(T1+T2)"
         )
-    report = _TORUS_REPORTS.get((knot.canonical, knot.mirror))
-    return _rule_set(knot.canonical) if report is None else report
+    return knot_report(knot.canonical, knot.mirror)
 
 
 def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:

@@ -26,7 +26,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import jsonschema
@@ -34,8 +34,8 @@ import pytest
 
 import pretzelrep
 from pretzelrep import (MAX_DIGITS, DegenerateTangleError, InvalidPDCodeError,
-                        SurfacePattern, component_count, max_digits, pretzel_diagram,
-                        run)
+                        PretzelKnot, SurfacePattern, component_count, knot_components,
+                        max_digits, pretzel_diagram, run)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -124,13 +124,15 @@ def test_items_are_written_in_chunks(monkeypatch, name, args):
 
 
 # text reports that start with their subcommand, each with the number of
-# scan rows it prints
+# scan rows it prints; a domain error's report is its one error line
 TEXT_REPORTS = [
     (["classify", "P(-3,5,7)"], 0),
     (["classify", "P(-2,3,5)"], 1),
     (["classify", "P(1,3,5)"], 0),
     (["classify", "C(1/3+(1/2+1/5))"], 0),
     (["surfaces", "P(-2,3,3)"], 8),
+    (["surfaces", "P(-2,3,3)", "--csv"], 8),
+    (["classify", "P(2,4,6)"], 0),
     (["parse", "M( 1/2 , -1/3 , 1/7 )"], 0),
     (["parse", "C((1/3+1/5)+(1/2+1/7))", "--json"], 0),
 ]
@@ -141,7 +143,8 @@ TEXT_REPORTS = [
 def test_a_text_report_costs_one_parse_one_write_and_only_printed_rows(
         monkeypatch, args, printed_rows):
     """A leading subcommand is parsed by its own parser alone, a scan row
-    is built only to be printed, and the report goes out in one write."""
+    is built only to be printed, and the report goes out in one write:
+    to out on success, to err as an error line."""
     expected = run_cli(args)
     parses, rows = [], []
     parse_known_args, row = argparse.ArgumentParser.parse_known_args, pretzelrep.cli._row
@@ -156,11 +159,11 @@ def test_a_text_report_costs_one_parse_one_write_and_only_printed_rows(
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
     monkeypatch.setattr(pretzelrep.cli, "_row", counting_row)
-    out, err = _CountingStream(), io.StringIO()
+    out, err = _CountingStream(), _CountingStream()
     assert (run(args, out, err), out.getvalue(), err.getvalue()) == expected
     assert parses == [f"pretzelrep {args[0]}"]
     assert len(rows) == printed_rows
-    assert out.writes == 1
+    assert (out.writes, err.writes) == ((0, 1) if expected[0] else (1, 0))
 
 
 def test_lemma_row_format():
@@ -524,13 +527,41 @@ def test_lemma_budget_admits_its_limit(monkeypatch):
 @pytest.mark.parametrize("spec,width", [("-60:61", 122), ("1:1000000000000", 10**12)],
                          ids=["122", "1e12"])
 def test_range_above_the_budget_exits_1_at_once(monkeypatch, spec, width):
-    def refuse(knot):
+    def refuse(*knot):
         raise AssertionError(f"{knot} was classified")
 
+    # JSON reports come from representativity_bounds, text lines from knot_report
     monkeypatch.setattr(pretzelrep.cli, "representativity_bounds", refuse)
+    monkeypatch.setattr(pretzelrep.cli, "knot_report", refuse)
     for flag in ([], ["--json"]):
         assert run_cli(["classify", "--range", spec, *flag]) == (
             1, "", f"error: --range box is {width} values wide, more than the limit of 121\n")
+
+
+def test_range_yields_every_knot_triple_and_nothing_else():
+    # the text range classifies each triple without checking it again
+    values = [v for v in range(-25, 26) if v != 0]
+    triples = list(pretzelrep.cli._knot_triples(-25, 25))
+    assert all(0 not in t and knot_components(t) == 1 for t in triples)
+    assert triples == [t for t in combinations_with_replacement(values, 3)
+                       if knot_components(t) == 1]
+
+
+@pytest.mark.parametrize("flag,knots", [([], 0), (["--json"], 1300)], ids=["text", "json"])
+def test_range_text_builds_no_pretzel_knot(monkeypatch, flag, knots):
+    # a text line needs only the canonical form; the JSON range builds one
+    # PretzelKnot per triple for its scan, which shows that the count works
+    args = ["classify", "--range", "-12:12", *flag]
+    expected = run_cli(args)
+    built, init = [], PretzelKnot.__init__
+
+    def counting_init(self, *fields):
+        built.append(fields)
+        init(self, *fields)
+
+    monkeypatch.setattr(PretzelKnot, "__init__", counting_init)
+    assert run_cli(args) == expected
+    assert len(built) == knots
 
 
 def test_range_budget_admits_its_limit(monkeypatch):

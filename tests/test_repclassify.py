@@ -1,5 +1,5 @@
 import re
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 from random import Random
 
 import pytest
@@ -18,6 +18,7 @@ from pretzelrep import (
     Sum,
     canonical_entries,
     is_large_algebraic,
+    knot_report,
     parse_expr,
     pretzel_knot,
     representativity_bounds,
@@ -153,6 +154,20 @@ def test_knot_and_pretzel_form_share_one_report():
     for triple in [(-2, 3, 5), (2, -3, -5), (1, 3, 5), (-3, 5, 7)]:
         assert representativity_bounds(pretzel_knot(triple)) is representativity_bounds(
             Pretzel(triple)), triple
+
+
+def test_knot_report_is_the_full_classification():
+    # the range text path's shortcut reaches the report object that
+    # validating the triple does, for every order of each knot and its mirror
+    for triple in product(range(-9, 10), repeat=3):
+        try:
+            pretzel_knot(triple)
+        except (DegenerateTangleError, NotAKnotError):
+            continue
+        for entries in permutations(triple):
+            for given in (entries, tuple(-e for e in entries)):
+                assert knot_report(*canonical_entries(given)) is representativity_bounds(
+                    pretzel_knot(given)), given
 
 
 def test_link_input_rejected():
