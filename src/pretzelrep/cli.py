@@ -31,13 +31,7 @@ from .errors import (
     PretzelRepError,
     UnsupportedInputError,
 )
-from .linktrace import (
-    PretzelKnot,
-    diagram_twists,
-    pretzel_crossings,
-    pretzel_knot,
-    trace_components,
-)
+from .linktrace import diagram_twists, pretzel_crossings, trace_components
 from .repclassify import RepReport, knot_report, pretzel_form_knot, representativity_bounds
 from .surfacescan import scan_fields, scannable_knot
 from .slopelemma import enumerate_solutions
@@ -57,9 +51,9 @@ __all__ = ["run", "main", "build_parser"]
 
 _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
-# largest lemma --max: about 1.9-2.4 s and 131-133 MB, as text or JSON
+# largest lemma --max: about 1.3-1.9 s and 131-134 MB, as text or JSON
 LEMMA_MAX = 200_000
-# widest classify --range box, e.g. -60:60: 0.3-0.4 s as text, 2.9-3.2 s as JSON
+# widest classify --range box, e.g. -60:60: about 0.3 s as text, 1.2 s as JSON
 RANGE_MAX_WIDTH = 121
 
 
@@ -174,13 +168,17 @@ def _cmd_classify(args, out) -> None:
         return
     expression = parse_expr(args.expr)
     knot = pretzel_form_knot(expression)
-    report = representativity_bounds(expression if knot is None else knot)
-    kind = ("closure" if knot is None
-            else "pretzel" if isinstance(expression, Pretzel) else "montesinos")
-    if args.json:
-        out.write(_report_json(args.expr, kind, knot, report, "") + "\n")
+    if knot is None:
+        kind, canonical, mirror = "closure", None, None
+        report = representativity_bounds(expression)
     else:
-        out.write("\n".join(_report_text(expression, kind, knot, report)) + "\n")
+        kind = "pretzel" if isinstance(expression, Pretzel) else "montesinos"
+        canonical, mirror = knot.canonical, knot.mirror
+        report = knot_report(canonical, mirror)
+    if args.json:
+        out.write(_report_json(args.expr, kind, canonical, mirror, report, "") + "\n")
+    else:
+        out.write("\n".join(_report_text(expression, kind, canonical, mirror, report)) + "\n")
 
 
 def _range_bounds(spec: str) -> tuple[int, int]:
@@ -217,9 +215,9 @@ def _classify_range(spec: str, as_json: bool, out) -> None:
         return
     lead = "[\n  "
     for entries in _knot_triples(low, high):
-        knot = pretzel_knot(entries)
-        out.write(lead + _report_json("P(%d,%d,%d)" % entries, "pretzel", knot,
-                                      representativity_bounds(knot), "  "))
+        canonical, mirror = canonical_entries(entries)
+        out.write(lead + _report_json("P(%d,%d,%d)" % entries, "pretzel", canonical, mirror,
+                                      knot_report(canonical, mirror), "  "))
         lead = ",\n  "
     out.write("[]\n" if lead == "[\n  " else "\n]\n")
 
@@ -256,12 +254,12 @@ def _range_template(report: RepReport) -> str:
     return line + "\n"
 
 
-def _report_text(expression: TangleExpr, kind: str, knot: PretzelKnot | None,
-                 report: RepReport) -> list[str]:
+def _report_text(expression: TangleExpr, kind: str, canonical: tuple | None,
+                 mirror: bool | None, report: RepReport) -> list[str]:
     lines = [f"input: {print_expr(expression)}", f"kind: {kind}"]
-    if knot is not None:
-        lines.append("normalized: P(%d,%d,%d)" % knot.canonical)
-        lines.append(f"mirror: {'yes' if knot.mirror else 'no'}")
+    if canonical is not None:
+        lines.append("normalized: P(%d,%d,%d)" % canonical)
+        lines.append(f"mirror: {'yes' if mirror else 'no'}")
         lines.append("knot: yes")
         lines.append(f"bridge bound: {report.bridge_upper}")
         if report.torus is not None:
@@ -275,8 +273,8 @@ def _report_text(expression: TangleExpr, kind: str, knot: PretzelKnot | None,
     lines.append("rules:")
     for rule in report.rules:
         lines.append(f"  - {rule.name} [{_effect_text(rule)}]: {rule.citation}")
-    if knot is not None:
-        shapes, values = scan_fields(knot)
+    if canonical is not None:
+        shapes, values = scan_fields(canonical)
         if shapes is None:
             lines.append("surfaces: not computed (degenerate twist parameters)")
         elif not any(structural for _, _, structural in shapes):
@@ -374,22 +372,19 @@ _TRACE_HEAD, _TRACE_TAIL = _template({"twists": ["%d"] * 3, "crossings": "%d",
 _CROSSING = _template(["%d"] * 4, "    ")
 
 
-def _report_json(input_text: str, kind: str, knot: PretzelKnot | None,
-                 report: RepReport, pad: str) -> str:
+def _report_json(input_text: str, kind: str, canonical: tuple | None,
+                 mirror: bool | None, report: RepReport, pad: str) -> str:
     """One classify report as JSON, its opening brace at indent pad: the
     template of its report, kind, mirror flag and scan shapes (none for
-    a closure or a unit twist), filled with the input and, for a knot,
-    its canonical triple and scan values."""
-    shapes, values, canonical, mirror = None, (), (), None
-    if knot is not None:
-        canonical, mirror = knot.canonical, knot.mirror
-        shapes, values = scan_fields(knot)
+    a closure, whose canonical and mirror are None, or a unit twist),
+    filled with the input and, for a knot, its canonical triple and scan values."""
+    shapes, values = (None, ()) if canonical is None else scan_fields(canonical)
     key = (id(report), id(shapes), kind, mirror, pad)
     seen = _TEMPLATES.get(key)
     if seen is None:
         seen = _TEMPLATES[key] = (report, shapes, _report_template(
             report, kind, mirror, shapes, pad))
-    return seen[-1] % (_quote(input_text), *canonical, *values)
+    return seen[-1] % (_quote(input_text), *(canonical or ()), *values)
 
 
 # --- surfaces ---
@@ -397,7 +392,7 @@ def _report_json(input_text: str, kind: str, knot: PretzelKnot | None,
 
 def _cmd_surfaces(args, out) -> None:
     knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
-    shapes, values = scan_fields(knot)
+    shapes, values = scan_fields(knot.canonical)
     if args.json:
         out.write(_surfaces_template(knot.mirror, shapes) % (
             _quote(args.expr), *knot.canonical, *values) + "\n")

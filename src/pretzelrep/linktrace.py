@@ -34,7 +34,7 @@ __all__ = ["MAX_CROSSINGS", "PretzelKnot", "diagram_twists", "pretzel_diagram",
 
 Crossing = tuple[int, int, int, int]
 
-# trace at this size: about 4-5 s and 113 MB, as text or JSON
+# trace at this size: about 2.1-2.7 s and 113 MB, as text or JSON
 MAX_CROSSINGS = 2_000_000
 
 
@@ -197,11 +197,9 @@ class PretzelKnot:
     mirror: bool
 
 
-def pretzel_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
-    """Validate a triple once: a zero twist, then a link, is a domain
-    error; otherwise canonicalize it.  A PretzelKnot passes through."""
-    if isinstance(triple, PretzelKnot):
-        return triple
+def pretzel_knot(triple: tuple[int, int, int]) -> PretzelKnot:
+    """Validate a (p, q, r) sequence once: a zero twist, then a link, is
+    a domain error; otherwise canonicalize it."""
     entries = tuple(triple)  # a list or other sequence becomes a plain tuple
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")

@@ -179,11 +179,11 @@ def knot_report(canonical: tuple[int, int, int], mirror: bool) -> RepReport:
     return _rule_set(canonical) if report is None else report
 
 
-def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
+def representativity_bounds(expression: TangleExpr) -> RepReport:
     """Classification report for a pretzel form or a closed tangle sum.
 
     Montesinos forms M(1/p,1/q,1/r) are read as the pretzel (p,q,r).  A
-    PretzelKnot, already validated, is classified as it stands.
+    knot that is validated already goes to knot_report, not here.
     Closures C(T1+T2) get the tangle string bound, sharpened to 3 when
     the two halves are syntactically large algebraic; both closure
     bounds are conditional on the visible sphere being essential.
@@ -195,7 +195,7 @@ def representativity_bounds(expression: TangleExpr | PretzelKnot) -> RepReport:
                 "expected C(T1+T2)"
             )
         return _LARGE_ALGEBRAIC if is_large_algebraic(expression) else _STRING_BOUND
-    knot = expression if isinstance(expression, PretzelKnot) else pretzel_form_knot(expression)
+    knot = pretzel_form_knot(expression)
     if knot is None:
         raise UnsupportedInputError(
             "no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "

@@ -108,20 +108,20 @@ _SLOPES = itemgetter(*[i + 3 * (ty == TYPE_B) for types in TYPINGS for i, ty in 
 _SHAPES: dict[tuple, tuple] = {}
 
 
-def scannable_knot(triple: tuple[int, int, int] | PretzelKnot) -> PretzelKnot:
-    """The validated knot of a triple the scan applies to, or a domain
-    error: a zero twist, then a unit twist, then a link."""
-    entries = triple.entries if isinstance(triple, PretzelKnot) else tuple(triple)
+def scannable_knot(triple: tuple[int, int, int]) -> PretzelKnot:
+    """The validated knot of a (p, q, r) sequence the scan applies to, or
+    a domain error: a zero twist, then a unit twist, then a link."""
+    entries = tuple(triple)
     if 0 not in entries and (1 in entries or -1 in entries):
         raise DegenerateTangleError(
             f"twist parameters must have absolute value >= 2, got {entries}")
-    return pretzel_knot(triple)
+    return pretzel_knot(entries)
 
 
-def _scan_row(types, slopes, knot: PretzelKnot) -> tuple[Verdict, tuple[int, ...]]:
+def _scan_row(types, slopes) -> tuple[Verdict, tuple[int, ...]]:
     """The (verdict, measures) of one type assignment: the first failed
-    existence filter's verdict and (), or final_filter's verdict and the
-    six ints (arcs, three sheets, chi, genus)."""
+    existence filter's verdict and (), or the disk filters' verdict and
+    the six ints (arcs, three sheets, chi, genus)."""
     x, y, z = slopes
     if (x < 0) + (y < 0) + (z < 0) != 1:
         return _SIGN_PATTERN, ()
@@ -135,27 +135,27 @@ def _scan_row(types, slopes, knot: PretzelKnot) -> tuple[Verdict, tuple[int, ...
         if sheet != 1 if ty == TYPE_B else sheet < 2:
             return (_SINGLE_DISK if ty == TYPE_B else _PARALLEL_DISKS), ()
     chi = sum(sheets) - n
-    return final_filter(types, slopes, knot), (n, *sheets, chi, _genus_from_chi(chi))
+    return _disk_verdict(slopes), (n, *sheets, chi, _genus_from_chi(chi))
 
 
-def scan_assignments(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
+def scan_assignments(triple: tuple[int, int, int]) -> list[SurfacePattern]:
     """All eight type assignments for the canonical form of the triple.
 
     Rows appear in lexicographic type order AAA..BBB.  Slope and count
     data refer to the canonical (sorted, possibly mirrored) triple.
     """
-    knot = scannable_knot(triple)
+    canonical = scannable_knot(triple).canonical
     rows = []
     for types in TYPINGS:
-        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, knot.canonical))
-        verdict, measures = _scan_row(types, slopes, knot)
+        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, canonical))
+        verdict, measures = _scan_row(types, slopes)
         n, p, q, r, chi, genus_val = measures or (None,) * 6
         sheets, longitudes = ((p, q, r), 2 * n) if measures else (None, None)
         rows.append(SurfacePattern(types, slopes, n, sheets, longitudes, chi, genus_val, verdict))
     return rows
 
 
-def enumerate_patterns(triple: tuple[int, int, int] | PretzelKnot) -> list[SurfacePattern]:
+def enumerate_patterns(triple: tuple[int, int, int]) -> list[SurfacePattern]:
     """The scan rows that pass the existence filters, in scan order.
 
     Each pattern carries the verdict of the compressing-disk filter; an
@@ -165,19 +165,20 @@ def enumerate_patterns(triple: tuple[int, int, int] | PretzelKnot) -> list[Surfa
     return [row for row in scan_assignments(triple) if row.structural]
 
 
-def scan_fields(knot: PretzelKnot) -> tuple[tuple | None, tuple[int, ...]]:
-    """The eight rows of scan_assignments(knot) as (shapes, values): the
-    (types, verdict, structural) of each row, a tuple shared by every
+def scan_fields(canonical: tuple[int, int, int]) -> tuple[tuple | None, tuple[int, ...]]:
+    """The eight rows of scan_assignments(canonical) as (shapes, values):
+    the (types, verdict, structural) of each row, a tuple shared by every
     knot that has it, and the flat ints of the rows, each row's slopes
     followed, in a structural row, by its arcs, sheets, chi and genus.
-    A knot with a twist of absolute value 1 has no scan: (None, ()).
+    As for knot_report, canonical is a knot's canonical triple that the
+    caller has validated.  A knot with a twist of absolute value 1 has no scan: (None, ()).
 
     Otherwise |m| >= 2, so m + 1 has the sign of m: without exactly one
     negative entry every row fails the sign pattern; with one, every row
     meets the reciprocal sum, and only a zero sum gets a full scan, which
     takes each row from _scan_row and builds no SurfacePattern.
     """
-    p, q, r = canonical = knot.canonical
+    p, q, r = canonical
     if 1 in canonical or -1 in canonical:
         return None, ()
     if (p < 0) + (q < 0) + (r < 0) != 1:
@@ -191,7 +192,7 @@ def scan_fields(knot: PretzelKnot) -> tuple[tuple | None, tuple[int, ...]]:
     shapes, values = [], []
     for types in TYPINGS:
         slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, canonical))
-        verdict, measures = _scan_row(types, slopes, knot)
+        verdict, measures = _scan_row(types, slopes)
         shapes.append((types, verdict, bool(measures)))
         values += slopes + measures
     shapes = tuple(shapes)
@@ -238,7 +239,7 @@ def genus(pattern: SurfacePattern) -> int:
 
 
 def final_filter(types: tuple[str, str, str], slopes: tuple[int, int, int],
-                 triple: tuple[int, int, int] | PretzelKnot) -> Verdict:
+                 triple: tuple[int, int, int]) -> Verdict:
     """Sort a row's types and slopes into their family; apply the disk filters.
 
     The absolute slopes (a, b, c) = (-p', q', r') solve the
@@ -248,9 +249,9 @@ def final_filter(types: tuple[str, str, str], slopes: tuple[int, int, int],
     family l = 2k is the case k = 1 (coprimality forces it), labelled
     Type (1) and surviving only for d = 2; the rest is Type (2),
     surviving only for k = 2, d = 1.  In every other case two adjacent
-    sheets are joined by a compressing disk meeting the knot twice.  A
-    PretzelKnot brings its canonical triple; a plain triple goes through
-    scannable_knot, so bad input raises the scan's own domain error.
+    sheets are joined by a compressing disk meeting the knot twice.  The
+    triple goes through scannable_knot, so bad input raises the scan's
+    own domain error.
     """
     canonical = scannable_knot(triple).canonical
     rebuilt = tuple(s if ty == TYPE_A else s - 1 for ty, s in zip(types, slopes))
@@ -258,6 +259,11 @@ def final_filter(types: tuple[str, str, str], slopes: tuple[int, int, int],
         raise InvariantError(
             f"pattern rebuilds {rebuilt}, not the canonical triple {canonical}"
         )
+    return _disk_verdict(slopes)
+
+
+def _disk_verdict(slopes: tuple[int, int, int]) -> Verdict:
+    """final_filter's verdict on the slopes of a row that rebuilds its triple."""
     negatives = [s for s in slopes if s < 0]
     positives = sorted(s for s in slopes if s > 0)
     if len(negatives) != 1 or len(positives) != 2:

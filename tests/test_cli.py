@@ -530,7 +530,7 @@ def test_range_above_the_budget_exits_1_at_once(monkeypatch, spec, width):
     def refuse(*knot):
         raise AssertionError(f"{knot} was classified")
 
-    # JSON reports come from representativity_bounds, text lines from knot_report
+    # a range report comes from knot_report, a closure's from representativity_bounds
     monkeypatch.setattr(pretzelrep.cli, "representativity_bounds", refuse)
     monkeypatch.setattr(pretzelrep.cli, "knot_report", refuse)
     for flag in ([], ["--json"]):
@@ -547,21 +547,54 @@ def test_range_yields_every_knot_triple_and_nothing_else():
                        if knot_components(t) == 1]
 
 
-@pytest.mark.parametrize("flag,knots", [([], 0), (["--json"], 1300)], ids=["text", "json"])
-def test_range_text_builds_no_pretzel_knot(monkeypatch, flag, knots):
-    # a text line needs only the canonical form; the JSON range builds one
-    # PretzelKnot per triple for its scan, which shows that the count works
-    args = ["classify", "--range", "-12:12", *flag]
+def _validations(monkeypatch, args) -> tuple[int, int]:
+    """Run args, checking that the output is unchanged, and count the
+    PretzelKnots it built and the canonical_entries calls it made,
+    through every binding of canonical_entries in the package."""
     expected = run_cli(args)
-    built, init = [], PretzelKnot.__init__
+    built, canonicalized = [], []
+    init, canonical_entries = PretzelKnot.__init__, pretzelrep.canonical_entries
 
     def counting_init(self, *fields):
         built.append(fields)
         init(self, *fields)
 
+    def counting_canonical_entries(entries):
+        canonicalized.append(entries)
+        return canonical_entries(entries)
+
     monkeypatch.setattr(PretzelKnot, "__init__", counting_init)
+    patched = [name for name, module in list(sys.modules.items())
+               if name.split(".")[0] == "pretzelrep"
+               and getattr(module, "canonical_entries", None) is canonical_entries]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "canonical_entries", counting_canonical_entries)
+    assert {"pretzelrep.cli", "pretzelrep.linktrace", "pretzelrep.tanglecalc"} <= set(patched)
     assert run_cli(args) == expected
-    assert len(built) == knots
+    return len(built), len(canonicalized)
+
+
+@pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
+def test_range_text_builds_no_pretzel_knot(monkeypatch, flag):
+    # a range report, text or JSON, needs only the canonical form of its
+    # triple, made once; the triples are knots by construction
+    reports = len(list(pretzelrep.cli._knot_triples(-12, 12)))
+    assert reports == 1300
+    assert _validations(monkeypatch, ["classify", "--range", "-12:12", *flag]) == (0, reports)
+
+
+@pytest.mark.parametrize("args", [
+    ["classify", "P(-2,3,5)", "--json"],
+    ["classify", "P(-2,3,5)"],
+    ["classify", "M(1/2,1/-3,1/-3)", "--json"],
+    ["classify", "M(1/2,1/-3,1/-3)"],
+    ["surfaces", "P(-2,3,5)"],
+    ["surfaces", "P(-2,3,5)", "--json"],
+], ids=" ".join)
+def test_a_single_knot_is_validated_once(monkeypatch, args):
+    # one PretzelKnot, built where the input is validated, and one
+    # canonicalization; this also shows that the counts of the range work
+    assert _validations(monkeypatch, args) == (1, 1)
 
 
 def test_range_budget_admits_its_limit(monkeypatch):

@@ -142,7 +142,7 @@ def test_box_holds_every_report_path():
     assert any(1 in t or -1 in t for t in triples)
     scannable = [t for t in triples if 1 not in t and -1 not in t]
     assert any(enumerate_patterns(t) and not representativity_bounds(
-        pretzel_form_knot(parse_expr("P({},{},{})".format(*t)))).exact for t in scannable)
+        parse_expr("P({},{},{})".format(*t))).exact for t in scannable)
 
 
 def rejected_blocks(bound: int) -> list[tuple[int, int, int]]:
@@ -153,7 +153,7 @@ def rejected_blocks(bound: int) -> list[tuple[int, int, int]]:
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) == 1:
             knot = pretzel_knot(entries)
-            shapes = scan_fields(knot)[0]
+            shapes = scan_fields(knot.canonical)[0]
             if not any(structural for _, _, structural in shapes):
                 blocks.setdefault(shapes, knot.canonical)
     return list(blocks.values())
@@ -178,7 +178,8 @@ def test_rejected_only_report_matches_json_dumps(canonical):
                 obj = report_obj(text, kind, tuple(entries), report)
                 for pad in ("", "  "):
                     expected = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-                    assert _report_json(text, kind, knot, report, pad) == expected
+                    assert _report_json(text, kind, knot.canonical, knot.mirror, report,
+                                        pad) == expected
 
 
 @pytest.mark.parametrize("pad", ["", "  "], ids=["pad0", "pad2"])

@@ -128,7 +128,7 @@ def test_report_carries_the_large_algebraic_decision():
     values = [v for v in range(-9, 10) if v != 0]
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) == 1:
-            assert representativity_bounds(pretzel_knot(entries)).large_algebraic is None
+            assert representativity_bounds(Pretzel(entries)).large_algebraic is None
 
 
 _NO_RULE = ("no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "
@@ -152,7 +152,8 @@ def test_knot_and_pretzel_form_share_one_report():
     # a validated knot and its pretzel form reach the same report object:
     # a torus triple, its mirror, a unit twist and an ordinary knot
     for triple in [(-2, 3, 5), (2, -3, -5), (1, 3, 5), (-3, 5, 7)]:
-        assert representativity_bounds(pretzel_knot(triple)) is representativity_bounds(
+        knot = pretzel_knot(triple)
+        assert knot_report(knot.canonical, knot.mirror) is representativity_bounds(
             Pretzel(triple)), triple
 
 
@@ -167,7 +168,7 @@ def test_knot_report_is_the_full_classification():
         for entries in permutations(triple):
             for given in (entries, tuple(-e for e in entries)):
                 assert knot_report(*canonical_entries(given)) is representativity_bounds(
-                    pretzel_knot(given)), given
+                    Pretzel(given)), given
 
 
 def test_link_input_rejected():
@@ -243,8 +244,8 @@ def test_one_class_shares_one_report():
     for first, second in [((-3, 5, 5), (3, 5, 7)), ((-2, 3, 5), (5, -2, 3)),
                           ((2, -3, -3), (-3, 2, -3)), ((1, 1, 1), (-1, -1, -1)),
                           ((1, 3, 5), (-1, 4, 7))]:
-        assert (representativity_bounds(pretzel_knot(first))
-                is representativity_bounds(pretzel_knot(second))), (first, second)
+        assert (representativity_bounds(Pretzel(first))
+                is representativity_bounds(Pretzel(second))), (first, second)
 
 
 def test_one_closure_kind_shares_one_report():
@@ -259,7 +260,7 @@ def test_reports_are_a_few_constants():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        report = representativity_bounds(pretzel_knot(entries))
+        report = representativity_bounds(Pretzel(entries))
         assert report == _per_call_report(entries), entries
         reports[id(report)] = report
     assert len(reports) == 7

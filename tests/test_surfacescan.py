@@ -258,9 +258,9 @@ SIGN_PATTERN = Verdict(False, "requires exactly one negative boundary slope")
 RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 
 
-def scanned_fields(knot):
-    """scan_fields(knot) as read off the rows of scan_assignments."""
-    rows = scan_assignments(knot)
+def scanned_fields(canonical):
+    """scan_fields(canonical) as read off the rows of scan_assignments."""
+    rows = scan_assignments(canonical)
     values = []
     for row in rows:
         values += row.boundary_slopes
@@ -284,8 +284,8 @@ def scanned_fields(knot):
 def test_existence_verdicts_by_sign_class(entries, canonical, structural):
     knot = pretzel_knot(tuple(entries))
     assert knot.canonical == canonical
-    shapes, values = scan_fields(knot)
-    assert (shapes, values) == scanned_fields(knot)
+    shapes, values = scan_fields(knot.canonical)
+    assert (shapes, values) == scanned_fields(knot.canonical)
     if structural is None:  # every slope triple fails the sign pattern
         assert shapes == tuple((types, SIGN_PATTERN, False) for types in TYPINGS)
     else:
@@ -296,7 +296,7 @@ def test_existence_verdicts_by_sign_class(entries, canonical, structural):
 def test_existence_verdicts_reject_unit_twists():
     # a knot with a unit twist has no scan: an answer, not an error
     for entries in ((-1, 3, 5), (1, 1, 1), (1, 3, 5)):
-        assert scan_fields(pretzel_knot(entries)) == (None, ()), entries
+        assert scan_fields(pretzel_knot(entries).canonical) == (None, ()), entries
     # the validating entry points refuse it, with one message
     message = "twist parameters must have absolute value >= 2, got (1, 3, 5)"
     for check in (scannable_knot, scan_assignments):
@@ -312,9 +312,9 @@ def test_existence_verdicts_match_the_scan():
         if knot_components(entries) != 1:
             continue
         knot = pretzel_knot(tuple(entries))
-        rows = scan_assignments(knot)
+        rows = scan_assignments(knot.canonical)
         assert [row.tangle_types for row in rows] == list(TYPINGS)
-        assert scan_fields(knot) == scanned_fields(knot), entries
+        assert scan_fields(knot.canonical) == scanned_fields(knot.canonical), entries
         checked += 1
         for row in rows:
             if row.structural:
@@ -337,7 +337,7 @@ def elimination_table(bound):
     values = [v for v in range(-bound, bound + 1) if v]
     knots = [entries for entries in combinations_with_replacement(values, 3)
              if knot_components(entries) == 1]
-    by_shapes = Counter(scan_fields(pretzel_knot(entries))[0] for entries in knots)
+    by_shapes = Counter(scan_fields(pretzel_knot(entries).canonical)[0] for entries in knots)
     unit_twists = by_shapes.pop(None)
     verdicts = Counter()
     for shapes, count in by_shapes.items():
@@ -452,10 +452,10 @@ def test_existence_verdicts_past_a_zero_reciprocal_sum(entries, typing, reason):
     expected = list(RECIPROCAL_SUM_ROWS)
     expected[typing] = (TYPINGS[typing], Verdict(False, reason), False)
     knot = pretzel_knot(entries)
-    shapes, values = scan_fields(knot)
+    shapes, values = scan_fields(knot.canonical)
     assert shapes == tuple(expected)
-    assert (shapes, values) == scanned_fields(knot)
-    assert scan_fields(knot)[0] is shapes  # shared, not rebuilt
+    assert (shapes, values) == scanned_fields(knot.canonical)
+    assert scan_fields(knot.canonical)[0] is shapes  # shared, not rebuilt
 
 
 def test_existence_verdicts_match_the_scan_with_one_negative_entry():
@@ -466,9 +466,9 @@ def test_existence_verdicts_match_the_scan_with_one_negative_entry():
                 or canonical_entries(entries)[0] != entries):
             continue
         knot = pretzel_knot(entries)
-        shapes, fields = scan_fields(knot)
-        assert (shapes, fields) == scanned_fields(knot), entries
-        assert scan_fields(knot)[0] is shapes, entries
+        shapes, fields = scan_fields(knot.canonical)
+        assert (shapes, fields) == scanned_fields(knot.canonical), entries
+        assert scan_fields(knot.canonical)[0] is shapes, entries
         if shapes == RECIPROCAL_SUM_ROWS:
             screened += 1
         else:
