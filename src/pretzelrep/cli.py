@@ -51,7 +51,7 @@ __all__ = ["run", "main", "build_parser"]
 
 _RANGE = re.compile(r"(-?[0-9]+):(-?[0-9]+)")
 
-# largest lemma --max: about 1.3-1.9 s and 131-134 MB, as text or JSON
+# largest lemma --max: about 0.8-0.9 s and 40-42 MB, as text or JSON
 LEMMA_MAX = 200_000
 # widest classify --range box, e.g. -60:60: about 0.3 s as text, 1.2 s as JSON
 RANGE_MAX_WIDTH = 121

@@ -34,7 +34,7 @@ __all__ = ["MAX_CROSSINGS", "PretzelKnot", "diagram_twists", "pretzel_diagram",
 
 Crossing = tuple[int, int, int, int]
 
-# trace at this size: about 2.1-2.7 s and 113 MB, as text or JSON
+# trace at this size: about 2.1 s and 48 MB, as text or JSON
 MAX_CROSSINGS = 2_000_000
 
 
@@ -108,19 +108,18 @@ def trace_components(build: Callable[[], Iterable[Crossing]], size: int) -> int:
     """Number of link components of the code that build() yields, which
     must use each label 1..size exactly twice, holding one chunk of its
     crossings at a time.  Strands glue along slots (0, 2) and (1, 3) of
-    every crossing; the components are the classes of arcs under that
-    gluing.  An invalid code is built once more to name its first fault.
+    every crossing, so each label is glued to two others and the gluings
+    form cycles, one per component.  An invalid code is built once more
+    to name its first fault.
     """
-    # one byte per use count (a count past 255 raises ValueError); parent[x]
-    # is 0 while arc x is a root (no label is 0): no int object per label
-    uses = bytearray(size + 1)
-    parent = [0] * (size + 1)
-    merges = 0
+    uses = [0] * (size + 1)  # a list, as CPython specializes list subscripts
+    end = {}  # end[x] is the other end of the open path of glued arcs ending at x
+    cycles = 0
     crossings = iter(build())
     try:
         while chunk := list(islice(crossings, _CROSSINGS_PER_CHUNK)):
-            # a label below 1 would index uses and parent from the end, so
-            # it is checked here; a label above size raises IndexError below
+            # a label below 1 would index uses from the end, so it is
+            # checked here; a label above size raises IndexError below
             if min(chain.from_iterable(chunk)) < 1:
                 raise ValueError
             for a, b, c, d in chunk:
@@ -128,24 +127,19 @@ def trace_components(build: Callable[[], Iterable[Crossing]], size: int) -> int:
                 uses[b] += 1
                 uses[c] += 1
                 uses[d] += 1
-                # join the under-strand arcs a, c, then the over-strand b, d,
-                # finding each root with path halving
-                while p := parent[a]:
-                    parent[a] = a = parent[p] or p
-                while p := parent[c]:
-                    parent[c] = c = parent[p] or p
-                if a != c:
-                    parent[a] = c
-                    merges += 1
-                while p := parent[b]:
-                    parent[b] = b = parent[p] or p
-                while p := parent[d]:
-                    parent[d] = d = parent[p] or p
-                if b != d:
-                    parent[b] = d
-                    merges += 1
-        if uses.count(2) == size:
-            return size - merges
+                # glue the under-strand arcs a, c, then the over-strand b, d
+                ea, ec = end.pop(a, a), end.pop(c, c)
+                if ea == c:
+                    cycles += 1
+                else:
+                    end[ea], end[ec] = ec, ea
+                eb, ed = end.pop(b, b), end.pop(d, d)
+                if eb == d:
+                    cycles += 1
+                else:
+                    end[eb], end[ed] = ed, eb
+        if uses.count(2) == size and not end:
+            return cycles
     except (ValueError, IndexError):  # a label out of range, a crossing without four slots
         pass
     raise _invalid_code(tuple(build()), size)

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
 from math import gcd
+from typing import Iterator
 
 from .errors import InvalidParameterError, InvariantError
 
@@ -51,16 +51,19 @@ def parametrize(k: int, l: int, d: int) -> tuple[int, int, int]:
     return (k * (l - k) * d, l * (l - k) * d, k * l * d)
 
 
-def enumerate_solutions(max_c: int) -> list[tuple[int, int, int, int, int, int]]:
-    """All solutions with c <= max_c, via the parametrization, as plain
-    (a, b, c, k, l, d) tuples.
+def enumerate_solutions(max_c: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """All solutions with c <= max_c, via the parametrization, yielded
+    in (a, b, c) order as plain (a, b, c, k, l, d) tuples.
 
-    Sorted by (a, b, c).  The parametrization is injective for a >= 2
-    and the twin family is covered once by (k, l) = (1, 2), so no
-    deduplication is needed.  Every row is checked against
-    (k(l-k)d, l(l-k)d, kld) before it is returned.
+    The parametrization is injective for a >= 2 and the twin family is
+    covered once by (k, l) = (1, 2), so no deduplication is needed.  One
+    int per solution is held; a row is decoded from it and checked against
+    (k(l-k)d, l(l-k)d, kld) only as it is yielded, after earlier rows.
     """
-    rows = []
+    # (a, b, c) is the int (a*x + b)*x + c: b, c < x, so the ints sort in
+    # (a, b, c) order, and row d of a run is d times its row 1
+    x = max_c + 1
+    keys = []
     k = 1
     # c = kld is at least k(k+1), and an l with kl > max_c has no row
     while k * (k + 1) <= max_c:
@@ -68,18 +71,21 @@ def enumerate_solutions(max_c: int) -> list[tuple[int, int, int, int, int, int]]
             if gcd(k, l) != 1:
                 continue
             a, b, c = parametrize(k, l, 1)
-            n = max_c // c
-            # row d is (a*d, b*d, c*d, k, l, d) for d = 1..n
-            rows.extend(zip(range(a, a * n + 1, a), range(b, b * n + 1, b),
-                            range(c, c * n + 1, c), repeat(k, n), repeat(l, n),
-                            range(1, n + 1)))
+            key = (a * x + b) * x + c
+            keys.extend(range(key, key * (max_c // c) + 1, key))
         k += 1
-    # (a, b, c) is unique, so the sort never compares the parameters
-    rows.sort()
-    for a, b, c, k, l, d in rows:
-        if (k * (l - k) * d, l * (l - k) * d, k * l * d) != (a, b, c):
+    keys.sort()
+    for key in keys:
+        ab, c = divmod(key, x)
+        a, b = divmod(ab, x)
+        if not 0 < a < b:  # no k < l, and a decode would divide by 0
+            raise InvariantError(f"({a},{b},{c}) has no parameters k < l")
+        g = gcd(a, b)  # (l-k)d, as gcd(k, l) = 1, and b - a = (l-k)g
+        k, l, d = a // g, b // g, g * g // (b - a)
+        m = (l - k) * d
+        if k * m != a or l * m != b or k * l * d != c:
             raise InvariantError(f"({a},{b},{c}) does not match k={k} l={l} d={d}")
-    return rows
+        yield a, b, c, k, l, d
 
 
 def brute_force_solutions(max_c: int) -> list[tuple[int, int, int]]:

@@ -35,7 +35,7 @@ import pytest
 import pretzelrep
 from pretzelrep import (MAX_DIGITS, DegenerateTangleError, InvalidPDCodeError,
                         PretzelKnot, SurfacePattern, component_count, knot_components,
-                        max_digits, pretzel_diagram, run)
+                        enumerate_solutions, max_digits, pretzel_diagram, run, slopelemma)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -476,7 +476,24 @@ def test_trace_holds_no_diagram(flag):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5 * diagram, (peak, diagram)
+    assert peak <= 0.25 * diagram, (peak, diagram)
+
+
+def test_lemma_holds_no_solution_list():
+    max_c = 20000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solutions = list(enumerate_solutions(max_c))
+        held = tracemalloc.get_traced_memory()[0] - before
+        del solutions
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert run(["lemma", "--max", str(max_c)], _Discard(), io.StringIO()) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * held, (peak, held)
 
 
 # P(-2,3,3) has 8 crossings, so its labels are 1..16
@@ -517,6 +534,19 @@ def test_lemma_above_the_budget_exits_1_at_once(monkeypatch, max_c):
         code, out, err = run_cli(["lemma", "--max", str(max_c), *flag])
         assert (code, out) == (1, "")
         assert err == f"error: --max must be at most 200000, got {max_c}\n"
+
+
+@pytest.mark.parametrize("corrupt", [lambda a, b, c: (a, a, c), lambda a, b, c: (0, 0, c)],
+                         ids=["a equals b", "a and b zero"])
+def test_lemma_row_without_parameters_exits_3(monkeypatch, corrupt):
+    # decoding such a row would divide by zero; it is an invariant error
+    real = slopelemma.parametrize
+    monkeypatch.setattr(slopelemma, "parametrize", lambda k, l, d: corrupt(*real(k, l, d)))
+    for flag in ([], ["--json"]):
+        code, out, err = run_cli(["lemma", "--max", "10", *flag])
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 def test_lemma_budget_admits_its_limit(monkeypatch):

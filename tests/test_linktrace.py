@@ -201,6 +201,20 @@ def test_component_count_matches_reference():
             assert _reference_component_count(relabeled) == expected, twists
 
 
+def test_component_count_of_shuffled_crossings_matches_reference():
+    # out of stream order, many arcs stay open paths at once, so the open
+    # path ends that trace_components keeps grow with the diagram
+    rng = Random(2033)
+    for regions in range(1, 6):
+        for _ in range(30):
+            twists = [rng.choice([-1, 1]) * rng.randint(1, 9) for _ in range(regions)]
+            code = list(pretzel_diagram(twists))
+            rng.shuffle(code)
+            assert component_count(code) == _reference_component_count(code), twists
+            assert trace_components(lambda: iter(code), 2 * len(code)) \
+                == _reference_component_count(code), twists
+
+
 MALFORMED = [
     ("label 0", ((0, 1, 1, 2), (2, 3, 3, 4)), "arc 0 is outside the labels 1..4"),
     ("label above 2n", ((1, 2, 3, 4), (4, 3, 2, 5)), "arc 5 is outside the labels 1..4"),

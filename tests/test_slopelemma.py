@@ -53,8 +53,20 @@ def test_enumerate_checks_every_row(monkeypatch):
 
     monkeypatch.setattr(slopelemma, "parametrize", off_by_one)
     with pytest.raises(InvariantError) as info:
-        enumerate_solutions(10)
+        list(enumerate_solutions(10))
     assert str(info.value) == "(1,2,3) does not match k=1 l=2 d=1"
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (lambda a, b, c: (a, a, c), "(1,1,2) has no parameters k < l"),
+    (lambda a, b, c: (0, 0, c), "(0,0,2) has no parameters k < l"),
+], ids=["a equals b", "a and b zero"])
+def test_enumerate_names_a_row_without_parameters(monkeypatch, corrupt, message):
+    # l = k or gcd(a, b) = 0 would divide by zero while decoding the row
+    monkeypatch.setattr(slopelemma, "parametrize", lambda k, l, d: corrupt(*parametrize(k, l, d)))
+    with pytest.raises(InvariantError) as info:
+        list(enumerate_solutions(10))
+    assert str(info.value) == message
 
 
 def test_enumerate_rows_are_plain_parametrized_tuples():
@@ -90,7 +102,7 @@ def test_enumerate_matches_brute_force():
 
 
 def test_enumerate_below_smallest_solution():
-    assert enumerate_solutions(1) == []
+    assert list(enumerate_solutions(1)) == []
 
 
 def _parameter_matches(a, b, c):
