@@ -35,7 +35,6 @@ from .tanglecalc import (
     print_expr,
 )
 from .linktrace import (
-    PretzelKnot,
     component_count,
     is_knot,
     knot_components,
@@ -58,7 +57,6 @@ from .surfacescan import (
     Verdict,
     enumerate_patterns,
     euler_characteristic,
-    final_filter,
     genus,
     scan_assignments,
     scan_fields,

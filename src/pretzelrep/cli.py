@@ -173,7 +173,7 @@ def _cmd_classify(args, out) -> None:
         report = representativity_bounds(expression)
     else:
         kind = "pretzel" if isinstance(expression, Pretzel) else "montesinos"
-        canonical, mirror = knot.canonical, knot.mirror
+        canonical, mirror = knot
         report = knot_report(canonical, mirror)
     if args.json:
         out.write(_report_json(args.expr, kind, canonical, mirror, report, "") + "\n")
@@ -391,11 +391,11 @@ def _report_json(input_text: str, kind: str, canonical: tuple | None,
 
 
 def _cmd_surfaces(args, out) -> None:
-    knot = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
-    shapes, values = scan_fields(knot.canonical)
+    canonical, mirror = scannable_knot(_parse_pretzel_argument(args.expr, "surfaces"))
+    shapes, values = scan_fields(canonical)
     if args.json:
-        out.write(_surfaces_template(knot.mirror, shapes) % (
-            _quote(args.expr), *knot.canonical, *values) + "\n")
+        out.write(_surfaces_template(mirror, shapes) % (
+            _quote(args.expr), *canonical, *values) + "\n")
         return
     ints = iter(values)
     rows = [_row(shape, ints) for shape in shapes]
@@ -408,7 +408,7 @@ def _cmd_surfaces(args, out) -> None:
         table.writerows(map(_row_csv, rows))
         out.write(buffer.getvalue())
     else:
-        lines = [f"input: {args.expr}", "normalized: P(%d,%d,%d)" % knot.canonical,
+        lines = [f"input: {args.expr}", "normalized: P(%d,%d,%d)" % canonical,
                  *map(_row_text, rows)]
         out.write("\n".join(lines) + "\n")
 

@@ -16,7 +16,6 @@ at most MAX_CROSSINGS crossings.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -28,9 +27,9 @@ from .errors import (
 )
 from .tanglecalc import canonical_entries
 
-__all__ = ["MAX_CROSSINGS", "PretzelKnot", "diagram_twists", "pretzel_diagram",
-           "pretzel_crossings", "component_count", "trace_components", "is_knot",
-           "knot_components", "pretzel_knot"]
+__all__ = ["MAX_CROSSINGS", "diagram_twists", "pretzel_diagram", "pretzel_crossings",
+           "component_count", "trace_components", "is_knot", "knot_components",
+           "pretzel_knot"]
 
 Crossing = tuple[int, int, int, int]
 
@@ -177,28 +176,14 @@ def knot_components(entries: tuple[int, int, int]) -> int:
     return max(1, 3 - (p & 1) - (q & 1) - (r & 1))
 
 
-@dataclass(frozen=True, slots=True)
-class PretzelKnot:
-    """A pretzel triple checked to be a knot, with its canonical form.
-
-    entries is the triple as given; canonical and mirror are what
-    canonical_entries returns for it: the canonical triple and whether
-    it is the mirror of the sorted entries.
-    """
-
-    entries: tuple[int, int, int]
-    canonical: tuple[int, int, int]
-    mirror: bool
-
-
-def pretzel_knot(triple: tuple[int, int, int]) -> PretzelKnot:
+def pretzel_knot(triple: tuple[int, int, int]) -> tuple[tuple[int, int, int], bool]:
     """Validate a (p, q, r) sequence once: a zero twist, then a link, is
-    a domain error; otherwise canonicalize it."""
+    a domain error; otherwise return what canonical_entries returns, the
+    canonical triple and whether it is the mirror of the sorted entries."""
     entries = tuple(triple)  # a list or other sequence becomes a plain tuple
     if 0 in entries:
         raise DegenerateTangleError(f"zero twist parameter in {entries}")
     components = knot_components(entries)
     if components != 1:
         raise NotAKnotError(f"not a knot ({components} components)")
-    canonical, mirror = canonical_entries(entries)
-    return PretzelKnot(entries, canonical, mirror)
+    return canonical_entries(entries)

@@ -17,7 +17,7 @@ from .errors import (
     InvalidParameterError,
     UnsupportedInputError,
 )
-from .linktrace import PretzelKnot, pretzel_knot
+from .linktrace import pretzel_knot
 from .tanglecalc import (
     Closure,
     Montesinos,
@@ -201,13 +201,13 @@ def representativity_bounds(expression: TangleExpr) -> RepReport:
             "no classification rule applies; expected P(p,q,r), M(1/p,1/q,1/r) "
             "or a top-level closure C(T1+T2)"
         )
-    return knot_report(knot.canonical, knot.mirror)
+    return knot_report(*knot)
 
 
-def pretzel_form_knot(expression: TangleExpr) -> PretzelKnot | None:
-    """The validated knot of a pretzel form P(p,q,r) or a Montesinos form
-    M(1/p,1/q,1/r), read as the pretzel (p,q,r); None for any other
-    expression."""
+def pretzel_form_knot(expression: TangleExpr) -> tuple[tuple[int, int, int], bool] | None:
+    """The (canonical, mirror) pair of pretzel_knot for a pretzel form
+    P(p,q,r) or a Montesinos form M(1/p,1/q,1/r), read as the pretzel
+    (p,q,r); None for any other expression."""
     if isinstance(expression, Pretzel):
         return pretzel_knot(expression.triple)
     if not isinstance(expression, Montesinos):

@@ -30,7 +30,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .errors import DegenerateTangleError, InvariantError
-from .linktrace import PretzelKnot, pretzel_knot
+from .linktrace import pretzel_knot
 
 __all__ = [
     "TYPE_A",
@@ -44,7 +44,6 @@ __all__ = [
     "scannable_knot",
     "euler_characteristic",
     "genus",
-    "final_filter",
 ]
 
 TYPE_A = "A"
@@ -92,7 +91,7 @@ _RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 _DENOMINATOR = Verdict(False, "common denominator exceeds the largest boundary slope")
 _SINGLE_DISK = Verdict(False, "single-disk region must meet the surface in one sheet")
 _PARALLEL_DISKS = Verdict(False, "parallel-disk region needs at least two sheets")
-# the verdicts of final_filter, one per family outcome
+# the verdicts of _disk_verdict, one per family outcome
 _TYPE_1 = Verdict(True, None, "Type (1)")
 _TYPE_1_D = Verdict(False, "d=2 required; compressing disk exists", "Type (1)")
 _TYPE_2_D = Verdict(False, "d=1 required; compressing disk exists", "Type (2)")
@@ -108,9 +107,10 @@ _SLOPES = itemgetter(*[i + 3 * (ty == TYPE_B) for types in TYPINGS for i, ty in 
 _SHAPES: dict[tuple, tuple] = {}
 
 
-def scannable_knot(triple: tuple[int, int, int]) -> PretzelKnot:
-    """The validated knot of a (p, q, r) sequence the scan applies to, or
-    a domain error: a zero twist, then a unit twist, then a link."""
+def scannable_knot(triple: tuple[int, int, int]) -> tuple[tuple[int, int, int], bool]:
+    """The (canonical, mirror) pair of pretzel_knot for a (p, q, r)
+    sequence the scan applies to, or a domain error: a zero twist, then
+    a unit twist, then a link."""
     entries = tuple(triple)
     if 0 not in entries and (1 in entries or -1 in entries):
         raise DegenerateTangleError(
@@ -144,7 +144,7 @@ def scan_assignments(triple: tuple[int, int, int]) -> list[SurfacePattern]:
     Rows appear in lexicographic type order AAA..BBB.  Slope and count
     data refer to the canonical (sorted, possibly mirrored) triple.
     """
-    canonical = scannable_knot(triple).canonical
+    canonical, _ = scannable_knot(triple)
     rows = []
     for types in TYPINGS:
         slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, canonical))
@@ -238,9 +238,8 @@ def genus(pattern: SurfacePattern) -> int:
     return _genus_from_chi(euler_characteristic(pattern))
 
 
-def final_filter(types: tuple[str, str, str], slopes: tuple[int, int, int],
-                 triple: tuple[int, int, int]) -> Verdict:
-    """Sort a row's types and slopes into their family; apply the disk filters.
+def _disk_verdict(slopes: tuple[int, int, int]) -> Verdict:
+    """Sort the slopes of a structural row into their family; apply the disk filters.
 
     The absolute slopes (a, b, c) = (-p', q', r') solve the
     reciprocal-sum lemma; with d = gcd(a, b), k = a/d, l = b/d every
@@ -249,21 +248,8 @@ def final_filter(types: tuple[str, str, str], slopes: tuple[int, int, int],
     family l = 2k is the case k = 1 (coprimality forces it), labelled
     Type (1) and surviving only for d = 2; the rest is Type (2),
     surviving only for k = 2, d = 1.  In every other case two adjacent
-    sheets are joined by a compressing disk meeting the knot twice.  The
-    triple goes through scannable_knot, so bad input raises the scan's
-    own domain error.
+    sheets are joined by a compressing disk meeting the knot twice.
     """
-    canonical = scannable_knot(triple).canonical
-    rebuilt = tuple(s if ty == TYPE_A else s - 1 for ty, s in zip(types, slopes))
-    if rebuilt != canonical:
-        raise InvariantError(
-            f"pattern rebuilds {rebuilt}, not the canonical triple {canonical}"
-        )
-    return _disk_verdict(slopes)
-
-
-def _disk_verdict(slopes: tuple[int, int, int]) -> Verdict:
-    """final_filter's verdict on the slopes of a row that rebuilds its triple."""
     negatives = [s for s in slopes if s < 0]
     positives = sorted(s for s in slopes if s > 0)
     if len(negatives) != 1 or len(positives) != 2:

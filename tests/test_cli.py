@@ -34,7 +34,7 @@ import pytest
 
 import pretzelrep
 from pretzelrep import (MAX_DIGITS, DegenerateTangleError, InvalidPDCodeError,
-                        PretzelKnot, SurfacePattern, component_count, knot_components,
+                        SurfacePattern, component_count, knot_components,
                         enumerate_solutions, max_digits, pretzel_diagram, run, slopelemma)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -579,29 +579,31 @@ def test_range_yields_every_knot_triple_and_nothing_else():
 
 def _validations(monkeypatch, args) -> tuple[int, int]:
     """Run args, checking that the output is unchanged, and count the
-    PretzelKnots it built and the canonical_entries calls it made,
-    through every binding of canonical_entries in the package."""
+    pretzel_knot and canonical_entries calls it made, each through every
+    binding of the function in the package."""
     expected = run_cli(args)
-    built, canonicalized = [], []
-    init, canonical_entries = PretzelKnot.__init__, pretzelrep.canonical_entries
+    counts = {}
 
-    def counting_init(self, *fields):
-        built.append(fields)
-        init(self, *fields)
+    def count_calls(name, function, owners):
+        calls = counts[name] = []
 
-    def counting_canonical_entries(entries):
-        canonicalized.append(entries)
-        return canonical_entries(entries)
+        def counting(*call_args):
+            calls.append(call_args)
+            return function(*call_args)
 
-    monkeypatch.setattr(PretzelKnot, "__init__", counting_init)
-    patched = [name for name, module in list(sys.modules.items())
-               if name.split(".")[0] == "pretzelrep"
-               and getattr(module, "canonical_entries", None) is canonical_entries]
-    for name in patched:
-        monkeypatch.setattr(sys.modules[name], "canonical_entries", counting_canonical_entries)
-    assert {"pretzelrep.cli", "pretzelrep.linktrace", "pretzelrep.tanglecalc"} <= set(patched)
+        bound = {module_name for module_name, module in list(sys.modules.items())
+                 if module_name.split(".")[0] == "pretzelrep"
+                 and getattr(module, name, None) is function}
+        for module_name in bound:
+            monkeypatch.setattr(sys.modules[module_name], name, counting)
+        assert {f"pretzelrep.{owner}" for owner in owners} <= bound, name
+
+    count_calls("pretzel_knot", pretzelrep.pretzel_knot,
+                ["linktrace", "surfacescan", "repclassify"])
+    count_calls("canonical_entries", pretzelrep.canonical_entries,
+                ["cli", "linktrace", "tanglecalc"])
     assert run_cli(args) == expected
-    return len(built), len(canonicalized)
+    return len(counts["pretzel_knot"]), len(counts["canonical_entries"])
 
 
 @pytest.mark.parametrize("flag", [[], ["--json"]], ids=["text", "json"])
@@ -622,7 +624,7 @@ def test_range_text_builds_no_pretzel_knot(monkeypatch, flag):
     ["surfaces", "P(-2,3,5)", "--json"],
 ], ids=" ".join)
 def test_a_single_knot_is_validated_once(monkeypatch, args):
-    # one PretzelKnot, built where the input is validated, and one
+    # one pretzel_knot call, where the input is validated, and one
     # canonicalization; this also shows that the counts of the range work
     assert _validations(monkeypatch, args) == (1, 1)
 

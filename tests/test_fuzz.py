@@ -53,7 +53,7 @@ def test_mutated_input_keeps_the_exit_code_contract():
 
 
 # the five subcommands and one that does not exist
-SUBCOMMANDS = ("classify", "surfaces", "lemma", "trace", "parse", "census")
+SUBCOMMANDS = ("classify", "surfaces", "lemma", "trace", "parse", "no-such-command")
 RANGES = ("-3:3", "2:2", "3:1", "1:", ":3", "a:b", "1..3", "-3:3:3", "٣:5", "",
           "-200:200", "1:" + "9" * 5000, "--json")
 # huge, negative, non-ASCII and malformed numbers; the valid ones stay small

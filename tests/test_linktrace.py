@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 from collections import Counter
 from itertools import permutations, product
@@ -17,6 +16,7 @@ from pretzelrep import (
     pretzel_crossings,
     pretzel_diagram,
     pretzel_knot,
+    scannable_knot,
     trace_components,
 )
 from pretzelrep.linktrace import MAX_CROSSINGS, diagram_twists, knot_components
@@ -95,13 +95,17 @@ def test_fast_parity_helper_matches_tracing():
         assert knot_components(entries) == component_count(pretzel_diagram(entries)), entries
 
 
-def test_pretzel_knot_is_a_frozen_slotted_object():
-    knot = pretzel_knot((2, -3, -5))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        knot.mirror = False
-    assert not hasattr(knot, "__dict__")
-    assert not isinstance(knot, tuple)
-    assert (knot.entries, knot.canonical, knot.mirror) == ((2, -3, -5), (-2, 3, 5), True)
+def test_validators_return_the_canonical_entries_pair():
+    # a knot validates to what canonical_entries returns, from a tuple or a list
+    values = [v for v in range(-9, 10) if v != 0]
+    for entries in product(values, repeat=3):
+        if knot_components(entries) != 1:
+            continue
+        expected = canonical_entries(entries)
+        for triple in (entries, list(entries)):
+            assert pretzel_knot(triple) == expected, entries
+            if min(map(abs, entries)) >= 2:
+                assert scannable_knot(triple) == expected, entries
 
 
 def test_reversal_and_mirror_preserve_components():
@@ -119,7 +123,7 @@ def test_not_a_knot_message_counts_traced_components():
     for entries in product(values, repeat=3):
         traced = component_count(pretzel_diagram(entries))
         if traced == 1:
-            assert pretzel_knot(tuple(entries)).entries == entries
+            assert pretzel_knot(tuple(entries)) == canonical_entries(entries)
             continue
         with pytest.raises(NotAKnotError) as info:
             pretzel_knot(tuple(entries))
@@ -150,8 +154,9 @@ def test_tuple_and_triple_inputs_agree():
     for entries in product(values, repeat=3):
         from_tuple = _outcome(entries)
         assert from_tuple == _outcome(list(entries)), entries
-        outcomes[from_tuple[0] if isinstance(from_tuple, tuple) else "knot"] += 1
         canonical, mirror = canonical_entries(entries)
+        # a knot validates to its canonical pair, anything else to (type, message)
+        outcomes["knot" if from_tuple == (canonical, mirror) else from_tuple[0]] += 1
         assert (canonical, mirror) == canonical_entries(list(entries))
         assert (canonical, mirror) == _brute_canonical(entries), entries
     # the box holds knots, zero twists and links

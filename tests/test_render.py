@@ -152,10 +152,10 @@ def rejected_blocks(bound: int) -> list[tuple[int, int, int]]:
     values = [v for v in range(-bound, bound + 1) if abs(v) >= 2]
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) == 1:
-            knot = pretzel_knot(entries)
-            shapes = scan_fields(knot.canonical)[0]
+            canonical, _ = pretzel_knot(entries)
+            shapes = scan_fields(canonical)[0]
             if not any(structural for _, _, structural in shapes):
-                blocks.setdefault(shapes, knot.canonical)
+                blocks.setdefault(shapes, canonical)
     return list(blocks.values())
 
 
@@ -172,14 +172,13 @@ def test_rejected_only_report_matches_json_dumps(canonical):
         p, q, r = entries
         for kind, text in (("pretzel", f"P({p},{q},{r})"), ("montesinos", f"M(1/{p},1/{q},1/{r})")):
             expression = parse_expr(text)
-            knot = pretzel_form_knot(expression)
-            assert knot.mirror == (entries != canonical)
+            mirror = entries != canonical
+            assert pretzel_form_knot(expression) == (canonical, mirror)
             for report in REPORTS:
                 obj = report_obj(text, kind, tuple(entries), report)
                 for pad in ("", "  "):
                     expected = json.dumps(obj, indent=2).replace("\n", "\n" + pad)
-                    assert _report_json(text, kind, knot.canonical, knot.mirror, report,
-                                        pad) == expected
+                    assert _report_json(text, kind, canonical, mirror, report, pad) == expected
 
 
 @pytest.mark.parametrize("pad", ["", "  "], ids=["pad0", "pad2"])

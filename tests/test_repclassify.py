@@ -152,8 +152,7 @@ def test_knot_and_pretzel_form_share_one_report():
     # a validated knot and its pretzel form reach the same report object:
     # a torus triple, its mirror, a unit twist and an ordinary knot
     for triple in [(-2, 3, 5), (2, -3, -5), (1, 3, 5), (-3, 5, 7)]:
-        knot = pretzel_knot(triple)
-        assert knot_report(knot.canonical, knot.mirror) is representativity_bounds(
+        assert knot_report(*pretzel_knot(triple)) is representativity_bounds(
             Pretzel(triple)), triple
 
 

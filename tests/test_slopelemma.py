@@ -70,7 +70,7 @@ def test_enumerate_names_a_row_without_parameters(monkeypatch, corrupt, message)
 
 
 def test_enumerate_rows_are_plain_parametrized_tuples():
-    rows = enumerate_solutions(2000)
+    rows = list(enumerate_solutions(2000))
     assert rows
     for row in rows:
         assert type(row) is tuple

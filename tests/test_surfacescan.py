@@ -15,7 +15,6 @@ from pretzelrep import (
     enumerate_patterns,
     euler_characteristic,
     canonical_entries,
-    final_filter,
     genus,
     is_knot,
     parametrize,
@@ -26,7 +25,7 @@ from pretzelrep import (
     torus_pretzel,
 )
 from pretzelrep.linktrace import knot_components
-from pretzelrep.surfacescan import TYPINGS
+from pretzelrep.surfacescan import TYPINGS, _disk_verdict
 
 
 def _single_pattern(p, q, r):
@@ -194,23 +193,18 @@ def test_genus_rejects_odd_characteristic():
         genus(large)
 
 
-def test_final_filter_rejects_mismatched_triple():
-    pattern = _single_pattern(-2, 3, 3)
-    with pytest.raises(InvariantError):
-        final_filter(pattern.tangle_types, pattern.boundary_slopes, (-2, 3, 5))
-
-
+# named for final_filter, the public wrapper of _disk_verdict that added
+# only a rebuild check no scan row can fail
 def test_final_filter_rejects_row_outside_the_consecutive_family():
     # 1/6 = 1/10 + 1/15 solves the lemma with (k, l) = (3, 5), but no scan
     # row has it: the denominator filter forces l = k + 1
-    verdict = Verdict(False, "synthetic", None)
-    row = SurfacePattern(("A", "B", "A"), (-6, 10, 15), 30, (5, 3, 2), 60, -20, 11, verdict)
-    with pytest.raises(InvariantError):
-        final_filter(row.tangle_types, row.boundary_slopes, (-6, 9, 15))
-    # slopes that rebuild the triple but have no negative entry
+    with pytest.raises(InvariantError,
+                       match=r"^\(6,10,15\) is not a solution with l = k \+ 1, c = kld$"):
+        _disk_verdict((-6, 10, 15))
+    # slopes with no negative entry
     with pytest.raises(InvariantError,
                        match=r"^slopes \(3, 5, 7\) have no sign pattern \(-,\+,\+\)$"):
-        final_filter(("A", "A", "A"), (3, 5, 7), (3, 5, 7))
+        _disk_verdict((3, 5, 7))
 
 
 _STRUCTURAL_REASONS = {
@@ -232,7 +226,10 @@ def test_patterns_reconstruct_their_triple():
         rows = scan_assignments(triple)
         for row in rows:
             if row.structural:
-                assert final_filter(row.tangle_types, row.boundary_slopes, triple) == row.verdict
+                # a type A region has slope m, a type B region slope m + 1
+                slopes = row.boundary_slopes
+                assert tuple(s - (ty == "B") for ty, s in zip(row.tangle_types, slopes)) == canonical
+                assert _disk_verdict(row.boundary_slopes) == row.verdict
                 assert euler_characteristic(row) == row.chi
             else:
                 assert (row.arcs, row.sheets, row.longitudes, row.chi,
@@ -282,10 +279,9 @@ def scanned_fields(canonical):
     ((-3, 5, 5), (-3, 5, 5), (("A", "B", "B"),)),  # structural, then rejected
 ], ids=str)
 def test_existence_verdicts_by_sign_class(entries, canonical, structural):
-    knot = pretzel_knot(tuple(entries))
-    assert knot.canonical == canonical
-    shapes, values = scan_fields(knot.canonical)
-    assert (shapes, values) == scanned_fields(knot.canonical)
+    assert pretzel_knot(tuple(entries))[0] == canonical
+    shapes, values = scan_fields(canonical)
+    assert (shapes, values) == scanned_fields(canonical)
     if structural is None:  # every slope triple fails the sign pattern
         assert shapes == tuple((types, SIGN_PATTERN, False) for types in TYPINGS)
     else:
@@ -296,7 +292,7 @@ def test_existence_verdicts_by_sign_class(entries, canonical, structural):
 def test_existence_verdicts_reject_unit_twists():
     # a knot with a unit twist has no scan: an answer, not an error
     for entries in ((-1, 3, 5), (1, 1, 1), (1, 3, 5)):
-        assert scan_fields(pretzel_knot(entries).canonical) == (None, ()), entries
+        assert scan_fields(pretzel_knot(entries)[0]) == (None, ()), entries
     # the validating entry points refuse it, with one message
     message = "twist parameters must have absolute value >= 2, got (1, 3, 5)"
     for check in (scannable_knot, scan_assignments):
@@ -311,10 +307,10 @@ def test_existence_verdicts_match_the_scan():
     for entries in combinations_with_replacement(values, 3):
         if knot_components(entries) != 1:
             continue
-        knot = pretzel_knot(tuple(entries))
-        rows = scan_assignments(knot.canonical)
+        canonical, _ = pretzel_knot(tuple(entries))
+        rows = scan_assignments(canonical)
         assert [row.tangle_types for row in rows] == list(TYPINGS)
-        assert scan_fields(knot.canonical) == scanned_fields(knot.canonical), entries
+        assert scan_fields(canonical) == scanned_fields(canonical), entries
         checked += 1
         for row in rows:
             if row.structural:
@@ -337,7 +333,7 @@ def elimination_table(bound):
     values = [v for v in range(-bound, bound + 1) if v]
     knots = [entries for entries in combinations_with_replacement(values, 3)
              if knot_components(entries) == 1]
-    by_shapes = Counter(scan_fields(pretzel_knot(entries).canonical)[0] for entries in knots)
+    by_shapes = Counter(scan_fields(pretzel_knot(entries)[0])[0] for entries in knots)
     unit_twists = by_shapes.pop(None)
     verdicts = Counter()
     for shapes, count in by_shapes.items():
@@ -410,7 +406,6 @@ def _outcome(call, *args):
 def test_library_calls_take_plain_tuples():
     # every call that takes a (p, q, r) tuple also takes it as a list,
     # with the same result or the same error
-    row_233 = enumerate_patterns((-2, 3, 3))[0]
     outcomes = Counter()
     for entries in product(range(-6, 7), repeat=3):
         triple = list(entries)
@@ -418,25 +413,14 @@ def test_library_calls_take_plain_tuples():
                      is_knot, torus_pretzel):
             result = _outcome(call, entries)
             assert result == _outcome(call, triple), (call.__name__, entries)
-            outcomes[call.__name__, result[0] if isinstance(result, tuple) else "ok"] += 1
-        rows = _outcome(scan_assignments, entries)
-        for row in [row_233, *(r for r in rows if isinstance(r, SurfacePattern) and r.structural)]:
-            assert (_outcome(final_filter, row.tangle_types, row.boundary_slopes, entries)
-                    == _outcome(final_filter, row.tangle_types, row.boundary_slopes, triple))
+            # an error is (type, message); pretzel_knot's pair starts with a triple
+            error = isinstance(result, tuple) and isinstance(result[0], type)
+            outcomes[call.__name__, result[0] if error else "ok"] += 1
     # the box reaches every check: zero twists, unit twists, links, knots
     assert {kind for _, kind in outcomes} == {"ok", DegenerateTangleError, NotAKnotError}
     assert outcomes["scan_assignments", "ok"] > 0
-    # a list goes in, but the knot keeps a plain tuple
-    assert type(pretzel_knot([-2, 3, 5]).entries) is tuple
-
-
-@pytest.mark.parametrize("triple", [(0, 3, 5), (1, 3, 5), (1, 2, 4), (2, 4, 6)], ids=str)
-def test_final_filter_raises_the_scan_domain_error(triple):
-    # a zero twist, a unit twist or a link is the caller's error, not an
-    # internal one: final_filter raises what the scan's gate raises
-    expected = _outcome(scannable_knot, triple)
-    assert expected[0] in (DegenerateTangleError, NotAKnotError)
-    assert _outcome(final_filter, ("A", "A", "B"), (-2, 3, 6), triple) == expected
+    # a list goes in, but the canonical triple is a plain tuple
+    assert type(pretzel_knot([-2, 3, 5])[0]) is tuple
 
 
 RECIPROCAL_SUM_ROWS = tuple((types, RECIPROCAL_SUM, False) for types in TYPINGS)
@@ -451,11 +435,11 @@ def test_existence_verdicts_past_a_zero_reciprocal_sum(entries, typing, reason):
     # one typing clears the reciprocal sum and fails a later filter
     expected = list(RECIPROCAL_SUM_ROWS)
     expected[typing] = (TYPINGS[typing], Verdict(False, reason), False)
-    knot = pretzel_knot(entries)
-    shapes, values = scan_fields(knot.canonical)
+    canonical, _ = pretzel_knot(entries)
+    shapes, values = scan_fields(canonical)
     assert shapes == tuple(expected)
-    assert (shapes, values) == scanned_fields(knot.canonical)
-    assert scan_fields(knot.canonical)[0] is shapes  # shared, not rebuilt
+    assert (shapes, values) == scanned_fields(canonical)
+    assert scan_fields(canonical)[0] is shapes  # shared, not rebuilt
 
 
 def test_existence_verdicts_match_the_scan_with_one_negative_entry():
@@ -465,10 +449,10 @@ def test_existence_verdicts_match_the_scan_with_one_negative_entry():
         if (entries[0] > 0 or entries[1] < 0 or knot_components(entries) != 1
                 or canonical_entries(entries)[0] != entries):
             continue
-        knot = pretzel_knot(entries)
-        shapes, fields = scan_fields(knot.canonical)
-        assert (shapes, fields) == scanned_fields(knot.canonical), entries
-        assert scan_fields(knot.canonical)[0] is shapes, entries
+        canonical, _ = pretzel_knot(entries)
+        shapes, fields = scan_fields(canonical)
+        assert (shapes, fields) == scanned_fields(canonical), entries
+        assert scan_fields(canonical)[0] is shapes, entries
         if shapes == RECIPROCAL_SUM_ROWS:
             screened += 1
         else:
