@@ -55,6 +55,7 @@ from .surfacescan import (
     TYPE_B,
     SurfacePattern,
     Verdict,
+    decode_fields,
     enumerate_patterns,
     euler_characteristic,
     genus,

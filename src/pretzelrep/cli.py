@@ -11,6 +11,7 @@ interrupt (Ctrl-C).  All output is deterministic for a given input.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .linktrace import diagram_twists, pretzel_crossings, trace_components
 from .repclassify import RepReport, knot_report, pretzel_form_knot, representativity_bounds
-from .surfacescan import scan_fields, scannable_knot
+from .surfacescan import decode_fields, scan_fields, scannable_knot
 from .slopelemma import enumerate_solutions
 from .tanglecalc import (
     Montesinos,
@@ -140,21 +141,44 @@ def run(argv: list[str] | None = None,
         return 3
 
 
+class _ClosedStdout(io.TextIOBase):
+    """The stdout of a process started without one: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+
 def main() -> None:
+    # the error lines are written after the command, where a stderr that
+    # cannot take them changes no exit code
+    out, err = sys.stdout or _ClosedStdout(), io.StringIO()
     try:
-        code = run()
-        sys.stdout.flush()
+        code = run(out=out, err=err)
+        out.flush()
     except KeyboardInterrupt:
-        sys.exit(130)
-    except OSError as exc:
+        code = 130
+    except (OSError, UnicodeEncodeError) as exc:
         # writing failed: the reader closed the pipe early (e.g. `| head`),
-        # which needs no message, or another error such as a full device;
-        # point stdout at devnull so the flush at exit cannot raise again
+        # which needs no message, or stdout is closed, full or cannot encode
+        # the text
         if not isinstance(exc, BrokenPipeError):
-            sys.stderr.write(f"error: cannot write output: {exc.strerror or exc}\n")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+            err.write(f"error: cannot write output: {getattr(exc, 'strerror', None) or exc}\n")
+        _to_devnull(sys.stdout)
+        code = 1
+    try:
+        if sys.stderr is not None:
+            sys.stderr.write(err.getvalue())
+            sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
     sys.exit(code)
+
+
+def _to_devnull(stream) -> None:
+    """Point a standard stream that failed at devnull, so that the flush
+    at exit cannot raise again."""
+    if stream is not None:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 # --- classify ---
@@ -277,16 +301,10 @@ def _report_text(expression: TangleExpr, kind: str, canonical: tuple | None,
         shapes, values = scan_fields(canonical)
         if shapes is None:
             lines.append("surfaces: not computed (degenerate twist parameters)")
-        elif not any(structural for _, _, structural in shapes):
-            lines.append("surfaces: none")
-        else:
-            lines.append("surfaces:")
-            ints = iter(values)
-            for shape in shapes:
-                if shape[2]:
-                    lines.append(f"  {_row_text(_row(shape, ints))}")
-                else:  # skip the three slopes of a row that is not printed
-                    next(islice(ints, 3, 3), None)
+        else:  # the structural rows, whose arcs are set
+            rows = [f"  {_row_text(_row(row))}" for row in decode_fields(shapes, values)
+                    if row[3] is not None]
+            lines += ["surfaces:", *rows] if rows else ["surfaces: none"]
     return lines
 
 
@@ -319,18 +337,12 @@ def _template(obj, pad: str) -> str:
     return re.sub(r'(?<!\\)"%%([ds])"', r"%\1", text).replace("\n", "\n" + pad)
 
 
-def _row(shape: tuple, ints) -> dict:
-    """A scan row's fields in output order, from one (types, verdict,
-    structural) shape of scan_fields and an iterator over its ints: the
-    slopes and, if structural, arcs, sheets, chi and genus."""
-    types, verdict, structural = shape
-    slopes = [next(ints), next(ints), next(ints)]
-    arcs = sheets = chi = genus = None
-    if structural:
-        arcs, *sheets, chi, genus = islice(ints, 6)
-    return {"types": "".join(types), "slopes": slopes, "arcs": arcs,
-            "sheets": sheets, "chi": chi, "genus": genus,
-            "structural": structural, "verdict": "accepted" if verdict.accepted else "rejected",
+def _row(row: tuple) -> dict:
+    """A row of decode_fields as its fields in output order."""
+    types, verdict, slopes, arcs, sheets, chi, genus = row
+    return {"types": "".join(types), "slopes": slopes, "arcs": arcs, "sheets": sheets,
+            "chi": chi, "genus": genus, "structural": arcs is not None,
+            "verdict": "accepted" if verdict.accepted else "rejected",
             "family": verdict.family, "reason": verdict.reason}
 
 
@@ -352,7 +364,7 @@ def _report_template(report: RepReport, kind: str, mirror: bool | None,
         "rules": [{"name": rule.name, "citation": rule.citation, "sets": rule.sets,
                    "value": rule.value, "conditional": rule.conditional}
                   for rule in report.rules],
-        "surfaces": None if shapes is None else [_row(shape, repeat("%d")) for shape in shapes],
+        "surfaces": None if shapes is None else [*map(_row, decode_fields(shapes, repeat("%d")))],
     }, pad)
 
 
@@ -361,7 +373,7 @@ def _surfaces_template(mirror: bool, shapes: tuple) -> str:
     """A surfaces object with a %s field for the input and a %d field
     for each canonical entry, then those of the rows."""
     return _template({"input": "%s", "normalized": ["%d"] * 3, "mirror": mirror,
-                      "rows": [_row(shape, repeat("%d")) for shape in shapes]}, "")
+                      "rows": [*map(_row, decode_fields(shapes, repeat("%d")))]}, "")
 
 
 _LEMMA_ROW = _template(dict.fromkeys(("a", "b", "c", "k", "l", "d"), "%d"), "  ")
@@ -397,8 +409,7 @@ def _cmd_surfaces(args, out) -> None:
         out.write(_surfaces_template(mirror, shapes) % (
             _quote(args.expr), *canonical, *values) + "\n")
         return
-    ints = iter(values)
-    rows = [_row(shape, ints) for shape in shapes]
+    rows = [*map(_row, decode_fields(shapes, values))]
     if args.csv:
         buffer = io.StringIO()
         table = csv_writer(buffer, lineterminator="\n")
@@ -421,8 +432,8 @@ def _parse_pretzel_argument(text: str, command: str) -> tuple[int, int, int]:
 
 
 def _row_text(row: dict) -> str:
-    """A scan row as key=value words, a list as (a,b,c), without None or structural."""
-    return " ".join([f"{key}=({value[0]},{value[1]},{value[2]})" if isinstance(value, list)
+    """A scan row as key=value words, a tuple as (a,b,c), without None or structural."""
+    return " ".join([f"{key}=({value[0]},{value[1]},{value[2]})" if isinstance(value, tuple)
                      else f"{key}={value}"
                      for key, value in row.items() if value is not None and key != "structural"])
 

@@ -25,9 +25,10 @@ except d = 2 in the twin family and k = 2, d = 1 otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from math import gcd, lcm
 from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .errors import DegenerateTangleError, InvariantError
 from .linktrace import pretzel_knot
@@ -41,6 +42,7 @@ __all__ = [
     "enumerate_patterns",
     "scan_assignments",
     "scan_fields",
+    "decode_fields",
     "scannable_knot",
     "euler_characteristic",
     "genus",
@@ -145,14 +147,10 @@ def scan_assignments(triple: tuple[int, int, int]) -> list[SurfacePattern]:
     data refer to the canonical (sorted, possibly mirrored) triple.
     """
     canonical, _ = scannable_knot(triple)
-    rows = []
-    for types in TYPINGS:
-        slopes = tuple(m if ty == TYPE_A else m + 1 for ty, m in zip(types, canonical))
-        verdict, measures = _scan_row(types, slopes)
-        n, p, q, r, chi, genus_val = measures or (None,) * 6
-        sheets, longitudes = ((p, q, r), 2 * n) if measures else (None, None)
-        rows.append(SurfacePattern(types, slopes, n, sheets, longitudes, chi, genus_val, verdict))
-    return rows
+    return [SurfacePattern(types, slopes, n, sheets, None if n is None else 2 * n,
+                           chi, genus_val, verdict)
+            for types, verdict, slopes, n, sheets, chi, genus_val
+            in decode_fields(*scan_fields(canonical))]
 
 
 def enumerate_patterns(triple: tuple[int, int, int]) -> list[SurfacePattern]:
@@ -166,7 +164,7 @@ def enumerate_patterns(triple: tuple[int, int, int]) -> list[SurfacePattern]:
 
 
 def scan_fields(canonical: tuple[int, int, int]) -> tuple[tuple | None, tuple[int, ...]]:
-    """The eight rows of scan_assignments(canonical) as (shapes, values):
+    """The eight scan rows of a canonical triple as (shapes, values):
     the (types, verdict, structural) of each row, a tuple shared by every
     knot that has it, and the flat ints of the rows, each row's slopes
     followed, in a structural row, by its arcs, sheets, chi and genus.
@@ -197,6 +195,17 @@ def scan_fields(canonical: tuple[int, int, int]) -> tuple[tuple | None, tuple[in
         values += slopes + measures
     shapes = tuple(shapes)
     return _SHAPES.setdefault(shapes, shapes), tuple(values)
+
+
+def decode_fields(shapes: tuple, values: Iterable) -> Iterator[tuple]:
+    """The rows of scan_fields' (shapes, values) as (types, verdict, slopes,
+    arcs, sheets, chi, genus), with None measures in a row that is not
+    structural; values may be any iterable of those ints, e.g. repeat("%d")."""
+    ints = iter(values)
+    for types, verdict, structural in shapes:
+        slopes = tuple(islice(ints, 3))
+        n, p, q, r, chi, genus_val = islice(ints, 6) if structural else (None,) * 6
+        yield types, verdict, slopes, n, (p, q, r) if structural else None, chi, genus_val
 
 
 def euler_characteristic(pattern: SurfacePattern) -> int:

@@ -351,6 +351,37 @@ def test_full_device_exits_1_with_one_error_line():
         1, "error: cannot write output: No space left on device\n")
 
 
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
+@pytest.mark.parametrize("closed,args,code,message", [
+    # a command that writes to a closed stdout fails as on a full device
+    (1, ["classify", "P(-2,3,5)"], 1, "error: cannot write output: Bad file descriptor\n"),
+    # one that writes nothing there keeps its code
+    (1, ["classify", "P(2,4,6)"], 2, "error: not a knot (3 components)\n"),
+    (1, ["classify", "P(x)"], 1, "error: expected an integer, found 'x' (at position 2)\n"),
+    # the error line of a closed stderr is lost, and its exit code is not
+    (2, ["classify", "P(2,4,6)"], 2, ""),
+    (2, ["classify", "P(-2,3,5)"], 0, ""),
+], ids=str)
+def test_closed_stream_keeps_the_exit_code(closed, args, code, message):
+    child = subprocess.run([sys.executable, "-m", "pretzelrep", *args],
+                           capture_output=True, text=True, env=child_env(), timeout=60,
+                           preexec_fn=lambda: os.close(closed))
+    assert "Traceback" not in child.stderr
+    assert (child.returncode, child.stderr) == (code, message)
+    assert (child.stdout != "") == (code == 0)
+
+
+def test_unencodable_output_exits_1_with_one_error_line():
+    # surfaces text echoes its input, here with a no-break space
+    child = subprocess.run([sys.executable, "-m", "pretzelrep", "surfaces", "P(-2,3,5)\u00a0"],
+                           capture_output=True, text=True, env=child_env(PYTHONIOENCODING="ascii"),
+                           timeout=60)
+    assert "Traceback" not in child.stderr
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr == ("error: cannot write output: 'ascii' codec can't encode character "
+                            "'\\xa0' in position 16: ordinal not in range(128)\n")
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
 def test_interrupt_exits_130_without_traceback():
     # -60:60 as JSON runs for seconds, so the signal lands mid-range

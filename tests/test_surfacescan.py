@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from math import gcd
 
 import pytest
@@ -12,6 +12,7 @@ from pretzelrep import (
     PretzelRepError,
     SurfacePattern,
     Verdict,
+    decode_fields,
     enumerate_patterns,
     euler_characteristic,
     canonical_entries,
@@ -25,7 +26,7 @@ from pretzelrep import (
     torus_pretzel,
 )
 from pretzelrep.linktrace import knot_components
-from pretzelrep.surfacescan import TYPINGS, _disk_verdict
+from pretzelrep.surfacescan import TYPINGS, _disk_verdict, _scan_row
 
 
 def _single_pattern(p, q, r):
@@ -193,9 +194,7 @@ def test_genus_rejects_odd_characteristic():
         genus(large)
 
 
-# named for final_filter, the public wrapper of _disk_verdict that added
-# only a rebuild check no scan row can fail
-def test_final_filter_rejects_row_outside_the_consecutive_family():
+def test_disk_verdict_rejects_row_outside_the_consecutive_family():
     # 1/6 = 1/10 + 1/15 solves the lemma with (k, l) = (3, 5), but no scan
     # row has it: the denominator filter forces l = k + 1
     with pytest.raises(InvariantError,
@@ -256,19 +255,17 @@ RECIPROCAL_SUM = Verdict(False, "boundary slopes fail 1/p' + 1/q' + 1/r' = 0")
 
 
 def scanned_fields(canonical):
-    """scan_fields(canonical) as read off the rows of scan_assignments."""
-    rows = scan_assignments(canonical)
-    values = []
-    for row in rows:
-        values += row.boundary_slopes
-        if row.structural:
-            values += (row.arcs, *row.sheets, row.chi, row.genus_val)
-    return tuple((row.tangle_types, row.verdict, row.structural) for row in rows), tuple(values)
+    """scan_fields(canonical) built row by row from _scan_row over the
+    eight typings, with none of scan_fields' screens."""
+    shapes, values = [], []
+    for types in TYPINGS:
+        slopes = tuple(m + (ty == "B") for ty, m in zip(types, canonical))
+        verdict, measures = _scan_row(types, slopes)
+        shapes.append((types, verdict, bool(measures)))
+        values += slopes + measures
+    return tuple(shapes), tuple(values)
 
 
-# the test_existence_verdicts_* tests, named for the function that
-# scan_fields replaced, check the shapes and values of scan_fields,
-# screened or scanned, against the rows of scan_assignments
 @pytest.mark.parametrize("entries,canonical,structural", [
     ((3, 5, 7), (3, 5, 7), None),            # no negative entry
     ((-3, 5, 7), (-3, 5, 7), ()),            # one
@@ -289,7 +286,7 @@ def test_existence_verdicts_by_sign_class(entries, canonical, structural):
         assert {verdict for _, verdict, passed in shapes if not passed} == {RECIPROCAL_SUM}
 
 
-def test_existence_verdicts_reject_unit_twists():
+def test_scan_fields_reject_unit_twists():
     # a knot with a unit twist has no scan: an answer, not an error
     for entries in ((-1, 3, 5), (1, 1, 1), (1, 3, 5)):
         assert scan_fields(pretzel_knot(entries)[0]) == (None, ()), entries
@@ -301,7 +298,7 @@ def test_existence_verdicts_reject_unit_twists():
         assert str(refused.value) == message, check
 
 
-def test_existence_verdicts_match_the_scan():
+def test_scan_fields_match_the_scan():
     values = [v for v in range(-25, 26) if abs(v) >= 2]
     checked = structural = 0
     for entries in combinations_with_replacement(values, 3):
@@ -395,6 +392,36 @@ def test_structural_rows_match_the_closed_form():
     assert sum(accepted for *_, accepted in closed) == 2
 
 
+def test_decode_fields_reads_every_value_once():
+    # a generator drops leftover ints silently, so the layout of
+    # scan_fields is checked here: three slopes a row, then six measures
+    # in a structural row, and a template reads the same rows
+    knots = 0
+    for entries in combinations_with_replacement([v for v in range(-25, 26) if v], 3):
+        if knot_components(entries) != 1:
+            continue
+        shapes, values = scan_fields(pretzel_knot(entries)[0])
+        if shapes is None:
+            continue
+        assert len(values) == sum(3 + 6 * structural for _, _, structural in shapes)
+        ints = iter(values)
+        rows = list(decode_fields(shapes, ints))
+        assert len(rows) == 8 and next(ints, None) is None, entries
+        read = []
+        for types, verdict, slopes, arcs, sheets, chi, genus_val in rows:
+            read += slopes
+            if arcs is not None:
+                read += (arcs, *sheets, chi, genus_val)
+            else:
+                assert (sheets, chi, genus_val) == (None, None, None), entries
+        assert tuple(read) == values, entries
+        template = decode_fields(shapes, repeat("%d"))
+        assert [(row[0], row[1], row[3] is not None) for row in template] == list(shapes)
+        assert [(row[0], row[1], row[3] is not None) for row in rows] == list(shapes)
+        knots += 1
+    assert knots == 9800
+
+
 def _outcome(call, *args):
     """call(*args), or the type and message of its error."""
     try:
@@ -442,7 +469,7 @@ def test_existence_verdicts_past_a_zero_reciprocal_sum(entries, typing, reason):
     assert scan_fields(canonical)[0] is shapes  # shared, not rebuilt
 
 
-def test_existence_verdicts_match_the_scan_with_one_negative_entry():
+def test_scan_fields_match_the_scan_with_one_negative_entry():
     values = [v for v in range(-40, 41) if abs(v) >= 2]
     screened = fallback = 0
     for entries in combinations_with_replacement(values, 3):
