@@ -71,6 +71,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); we map to 1
         raise _UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; --help that cannot be written exits 1
+        if message:
+            (file or sys.stderr).write(message)
+
 
 @cache
 def build_parser() -> argparse.ArgumentParser:

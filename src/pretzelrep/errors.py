@@ -8,6 +8,10 @@ and InvariantError means an internal consistency check failed (exit 3).
 
 from __future__ import annotations
 
+__all__ = ["PretzelRepError", "ParseError", "DomainError", "DegenerateTangleError",
+           "NotAKnotError", "ShapeError", "UnsupportedInputError", "InvalidParameterError",
+           "InvariantError", "InvalidPDCodeError"]
+
 
 class PretzelRepError(Exception):
     """Base class for all errors raised by this package."""

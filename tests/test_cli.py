@@ -351,6 +351,18 @@ def test_full_device_exits_1_with_one_error_line():
         1, "error: cannot write output: No space left on device\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_help_to_a_full_device_exits_1():
+    # unbuffered, the help text fails in argparse's own write, not at the final flush
+    with open("/dev/full", "w") as full:
+        child = subprocess.run([sys.executable, "-m", "pretzelrep", "--help"],
+                               stdout=full, stderr=subprocess.PIPE, text=True,
+                               env=child_env(PYTHONUNBUFFERED="1"), timeout=60)
+    assert "Traceback" not in child.stderr
+    assert (child.returncode, child.stderr) == (
+        1, "error: cannot write output: No space left on device\n")
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
 @pytest.mark.parametrize("closed,args,code,message", [
     # a command that writes to a closed stdout fails as on a full device
@@ -358,6 +370,9 @@ def test_full_device_exits_1_with_one_error_line():
     # one that writes nothing there keeps its code
     (1, ["classify", "P(2,4,6)"], 2, "error: not a knot (3 components)\n"),
     (1, ["classify", "P(x)"], 1, "error: expected an integer, found 'x' (at position 2)\n"),
+    # help is output too: argparse alone would drop the failed write and exit 0
+    (1, ["--help"], 1, "error: cannot write output: Bad file descriptor\n"),
+    (1, ["classify", "-h"], 1, "error: cannot write output: Bad file descriptor\n"),
     # the error line of a closed stderr is lost, and its exit code is not
     (2, ["classify", "P(2,4,6)"], 2, ""),
     (2, ["classify", "P(-2,3,5)"], 0, ""),
